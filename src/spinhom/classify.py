@@ -124,11 +124,12 @@ class Verdict:
         return self.status in (PROVEN_HOM, CONJ_HOM)
 
 
-def _is_core_join_three(lam: Partition) -> bool:
+def core_join_three(lam: Partition) -> Partition | None:
+    """lam without its part 3, when lam has a part 3 and that leaves a 3-bar core; else None."""
     if 3 not in lam:
-        return False
+        return None
     rest = tuple(a for a in lam if a != 3)
-    return not bar_removals(rest, 3)
+    return None if bar_removals(rest, 3) else rest
 
 
 def classify_homogeneous(lam: Partition) -> Verdict:
@@ -141,7 +142,7 @@ def classify_homogeneous(lam: Partition) -> Verdict:
     if special is None:
         if len(lam) == 1 and lam[0] % 3 == 0 and lam[0] >= 6:
             return Verdict(PROVEN_HOM, "H1_row")
-        if _is_core_join_three(lam):
+        if core_join_three(lam) is not None:
             return Verdict(PROVEN_HOM, "H2_core_join_3")
         if lam in EXCEPTIONAL_HOMOGENEOUS:
             return Verdict(PROVEN_HOM, "H3_exceptional")

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (bad partition, violated
-precondition, unknown option value), 2 when a verification suite
-reports failures.
+precondition, unknown option value, a --p that is not an odd prime), 2
+when a verification suite reports failures or checks nothing.
 """
 
 from __future__ import annotations
@@ -13,36 +13,28 @@ import os
 import sys
 
 from . import barcores, branching, classify, dimensions, families, ladders, tableaux, verify, wreath
-from .partitions import Partition, PartitionError, format_partition, parse_partition, strict_partitions_of
-
-
-def _partition(text: str) -> Partition:
-    return parse_partition(text)
+from .partitions import PartitionError, check_odd_prime, format_partition, parse_partition, strict_partitions_of
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _parts(lam: Partition) -> list[int]:
-    return list(lam)
-
-
 def cmd_reg(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     print(format_partition(ladders.regularize(lam, args.p)))
     return 0
 
 
 def cmd_core(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     result = barcores.bar_core(lam, args.p)
-    _emit({"core": _parts(result.core), "weight": result.weight})
+    _emit({"core": list(result.core), "weight": result.weight})
     return 0
 
 
 def cmd_block(args) -> int:
-    core = _partition(args.core)
+    core = parse_partition(args.core)
     members = barcores.block_members(core, args.weight, args.p, args.filter)
     for lam in members:
         print(format_partition(lam))
@@ -50,47 +42,47 @@ def cmd_block(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     p, i = args.p, args.i
     op = args.op
     if op == "tilde-e":
-        _emit({"result": _parts(branching.tilde_e(lam, i, p))})
+        _emit({"result": list(branching.tilde_e(lam, i, p))})
     elif op == "tilde-f":
-        _emit({"result": _parts(branching.tilde_f(lam, i, p))})
+        _emit({"result": list(branching.tilde_f(lam, i, p))})
     elif op in ("down", "up"):
         res = branching.extremal(lam, i, p, op)
-        _emit({"result": _parts(res.result), "count": res.count})
+        _emit({"result": list(res.result), "count": res.count})
     elif op in ("normal-down", "normal-up"):
-        _emit({"result": _parts(branching.normal_extremal(lam, i, p, op.split("-")[1]))})
+        _emit({"result": list(branching.normal_extremal(lam, i, p, op.split("-")[1]))})
     elif op == "multiset":
         pairs = branching.branch_multiset(lam, i, p, args.direction)
-        _emit({"coeffs": [[_parts(mu), c] for mu, c in pairs]})
+        _emit({"coeffs": [[list(mu), c] for mu, c in pairs]})
     else:
         raise PartitionError(f"unknown op {op!r}")
     return 0
 
 
 def cmd_dim(args) -> int:
-    report = dimensions.spin_dim(_partition(args.partition))
+    report = dimensions.spin_dim(parse_partition(args.partition))
     _emit({"dim": report.dim, "g": report.g, "two_exp": report.two_exp})
     return 0
 
 
 def cmd_ddeg(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     _emit({"ddeg": dimensions.ddeg(lam, args.p)})
     return 0
 
 
 def cmd_witness(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     w = dimensions.degree_witness(lam, args.p, whole_block=args.whole_block)
-    _emit({"witness": None if w is None else _parts(w)})
+    _emit({"witness": None if w is None else list(w)})
     return 0
 
 
 def cmd_sst(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     if args.count_only:
         _emit({"count": tableaux.count_sst(lam)})
         return 0
@@ -103,11 +95,11 @@ def cmd_sst(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    alpha, beta, nu = _partition(args.alpha), _partition(args.beta), _partition(args.nu)
+    alpha, beta, nu = parse_partition(args.alpha), parse_partition(args.beta), parse_partition(args.nu)
     if args.gamma is None:
         _emit({"coefficient": wreath.lr2(alpha, beta, nu)})
     else:
-        _emit({"coefficient": wreath.lr3(alpha, beta, _partition(args.gamma), nu)})
+        _emit({"coefficient": wreath.lr3(alpha, beta, parse_partition(args.gamma), nu)})
     return 0
 
 
@@ -118,29 +110,22 @@ def cmd_cartan(args) -> int:
         matrix = wreath.load_decomp_matrix(args.decomp)
         if matrix.d != args.d:
             raise PartitionError(f"matrix has degree {matrix.d}, expected {args.d}")
-        value = wreath.wreath_cartan_p(_partition(args.mu), matrix).value
+        value = wreath.wreath_cartan_p(parse_partition(args.mu), matrix).value
         _emit({"value": value, "threshold": 2 * args.d + 1})
         return 0
-    nu = _partition(args.nu) if args.nu else (args.d,)
-    pi = _partition(args.pi) if args.pi else nu
+    nu = parse_partition(args.nu) if args.nu else (args.d,)
+    pi = parse_partition(args.pi) if args.pi else nu
     _emit({"value": wreath.wreath_cartan0(nu, pi).value, "threshold": 2 * args.d + 1})
     return 0
 
 
 def cmd_classify(args) -> int:
-    lam = _partition(args.partition)
+    lam = parse_partition(args.partition)
     verdict = classify.classify_homogeneous(lam)
     payload = {"status": verdict.status, "reason": verdict.reason}
     if args.context != "homogeneity":
         iv = classify.classify_irreducible(lam, args.context)
-        payload = {
-            "status": verdict.status,
-            "reason": verdict.reason,
-            "context": iv.context,
-            "labels": list(iv.labels),
-            "irreducible": iv.irreducible,
-            "proven": iv.proven,
-        }
+        payload.update(context=iv.context, labels=list(iv.labels), irreducible=iv.irreducible, proven=iv.proven)
     if args.format == "json":
         _emit(payload)
     else:
@@ -150,6 +135,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    kept = (classify.PROVEN_HOM, classify.CONJ_HOM) if args.include_conjectural else (classify.PROVEN_HOM,)
     for lam in strict_partitions_of(args.n):
         special = classify.special_decompose(lam) is not None
         if args.special == "exclude" and special:
@@ -157,25 +143,22 @@ def cmd_enumerate(args) -> int:
         if args.special == "only" and not special:
             continue
         verdict = classify.classify_homogeneous(lam)
-        if args.filter == "homogeneous":
-            if verdict.status == classify.PROVEN_HOM:
-                pass
-            elif args.include_conjectural and verdict.status == classify.CONJ_HOM:
-                pass
-            else:
-                continue
+        if args.filter == "homogeneous" and verdict.status not in kept:
+            continue
         print(f"{format_partition(lam)}\t{verdict.status}\t{verdict.reason}")
     return 0
 
 
 def cmd_family(args) -> int:
     if args.id == "sigma-tau":
-        _emit({"sigma": _parts(families.sigma(args.l)), "tau": _parts(families.tau(args.l))})
+        _emit({"sigma": list(families.sigma(args.l)), "tau": list(families.tau(args.l))})
         return 0
     fam = families.family(args.id)
+    if args.l < fam.first_index:
+        raise PartitionError(f"family {fam.name} starts at l={fam.first_index}, got l={args.l}")
     _emit({
-        "lam": _parts(fam.lam(args.l)),
-        "mu": _parts(fam.mu(args.l)),
+        "lam": list(fam.lam(args.l)),
+        "mu": list(fam.mu(args.l)),
         "ratio_kind": fam.ratio_kind,
         "ratio": str(fam.ratio(args.l)),
     })
@@ -186,6 +169,7 @@ def cmd_verify(args) -> int:
     threads = args.threads or int(os.environ.get("SPINHOM_THREADS", "1"))
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     bad = 0
+    empty = []
     for name in names:
         rows = verify.run_suite(
             name, p=args.p, max_n=args.max_n, threads=threads, seed=args.seed, max_l=args.max_l
@@ -194,8 +178,12 @@ def cmd_verify(args) -> int:
         for row in rows:
             print("\t".join(row))
         bad += len(verify.failures(rows))
+        if not rows:
+            empty.append(name)
     print(f"# failures: {bad}", file=sys.stderr)
-    return 0 if bad == 0 else 2
+    for name in empty:
+        print(f"error: suite {name} checked nothing", file=sys.stderr)
+    return 0 if bad == 0 and not empty else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("classify", cmd_classify, help="homogeneity / irreducibility verdict")
     sp.add_argument("partition")
     sp.add_argument("--context", choices=["homogeneity", "super", "sn", "an"], default="homogeneity")
-    sp.add_argument("--include-conjectural", action="store_true")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
     sp = add("enumerate", cmd_enumerate, help="classify every strict partition of n")
@@ -293,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "p"):
+            check_odd_prime(args.p)
         return args.fn(args)
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

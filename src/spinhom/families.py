@@ -76,6 +76,11 @@ class DegreeFamily:
     extra_greater: tuple[int, ...] = ()
     same_reg: bool = True
 
+    @property
+    def first_index(self) -> int:
+        """The smallest l the family declares in any of its ranges."""
+        return min(self.formula_range[0], self.greater_range[0], *self.extra_greater)
+
 
 def _f(num: int, den: int) -> Fraction:
     return Fraction(num, den)

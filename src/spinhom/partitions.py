@@ -20,7 +20,8 @@ odd prime p:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from math import isqrt
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -31,23 +32,14 @@ class PartitionError(ValueError):
     """Raised for malformed partition input or violated preconditions."""
 
 
-def check_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalise an iterable of parts (trailing zeros dropped)."""
-    out = []
-    prev = None
-    for a in parts:
-        if a == 0:
-            prev = 0
-            continue
-        if prev == 0:
-            raise PartitionError("zero part followed by a positive part")
-        if a < 0:
-            raise PartitionError(f"negative part {a}")
-        if prev is not None and prev != 0 and a > prev:
-            raise PartitionError(f"parts not weakly decreasing: {a} after {prev}")
-        out.append(a)
-        prev = a
-    return tuple(out)
+def check_odd_prime(p: int) -> None:
+    """Raise PartitionError unless p is an odd prime.
+
+    Entry points check p once; per-node functions such as
+    ``ladders.ladder_index`` run millions of times and do not.
+    """
+    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+        raise PartitionError(f"p must be an odd prime, got {p}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -135,8 +127,7 @@ class ShapeFlags:
 
 def classify_shape(lam: Partition, p: int) -> ShapeFlags:
     """Shape predicates of lam relative to the odd prime p."""
-    if p < 3 or p % 2 == 0:
-        raise PartitionError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     return ShapeFlags(is_strict(lam), is_p_strict(lam, p), is_restricted(lam, p))
 
 

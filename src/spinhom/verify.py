@@ -6,9 +6,23 @@ exact identities or cross-checks, and yields one row per check:
     (subject, check, detail, lhs, rhs, ok)
 
 Rows are plain strings ready for TSV output; a suite passes when no row
-has ok == "FAIL".  Ranges are capped at the levels the package pins
-down (larger requests clamp to those caps), so ``--max-n`` can scale a
-suite down for a quick look without changing any expected value.
+has ok == "FAIL".  ``SUITES`` maps each suite to its function and its
+default ``max_n``.  Every suite's main sweep runs to ``max_n`` as given,
+and the ladders suite is that sweep alone; these checks stop at a fixed
+cap whatever ``max_n`` asks for:
+
+* branching: homogeneous-case matches n <= 25, tilde inverses n <= 18;
+* blocks: core confluence n <= 20, Morris-Yaseen and block counts n <= 16;
+* degrees: sums of squares n <= 10, g against tableau counts n <= 12;
+* tableaux: enumeration rows n <= 12, residue words n <= 10;
+* wreath: every row d <= 8; cartan0 symmetry, char-3 rows and the
+  sampled lower bounds d <= 6;
+* classification: soundness and closure n <= 28, phi-zero agreement
+  n <= 25, the module list n <= 20.
+
+The sigma/tau chains, block closed forms and patterned tableaux use fixed
+ranges; the degree families and staircase witnesses (l <= 8) follow
+``max_l``.
 
 Suites fan out over partitions with a process pool when ``threads`` is
 above one; rows are merged back in submission order, so output is
@@ -20,17 +34,20 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from . import barcores, branching, classify, dimensions, families, ladders, tableaux, wreath
 from .partitions import (
     Partition,
+    check_odd_prime,
     conjugate,
     format_partition,
     is_odd_partition,
     is_restricted,
     is_strict,
     p_strict_partitions_of,
+    parity_stats,
     partitions_of,
     scaled_add,
     join,
@@ -39,18 +56,28 @@ from .partitions import (
 
 Row = tuple[str, str, str, str, str, str]
 
-SUITES = ("ladders", "branching", "blocks", "degrees", "tableaux", "wreath", "classification")
-
 
 def _row(subject, check, detail, lhs, rhs, ok: bool) -> Row:
     return (str(subject), str(check), str(detail), str(lhs), str(rhs), "ok" if ok else "FAIL")
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
+def _holds(subject, check, detail, ok: bool) -> Row:
+    """Row of a predicate check: lhs is the predicate's value, rhs True."""
+    return _row(subject, check, detail, ok, True, ok)
+
+
+def _equal(subject, check, detail, lhs, rhs) -> Row:
+    return _row(subject, check, detail, lhs, rhs, lhs == rhs)
+
+
+def _fan_out(fn: Callable[[tuple], list[Row]], items: Sequence[tuple], threads: int) -> list[Row]:
+    """The rows of fn over items, in order; over a process pool when threads > 1."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+        chunks = map(fn, items)
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+    return [row for chunk in chunks for row in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -60,27 +87,25 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
 def _ladder_rows(args: tuple[Partition, int]) -> list[Row]:
     lam, p = args
     name = format_partition(lam)
-    rows = []
-    for idr in ladders.check_ladder_identities(lam, p):
-        rows.append(_row(name, idr.identity, idr.l, idr.lhs, idr.rhs, idr.ok))
+    rows = [_row(name, idr.identity, idr.l, idr.lhs, idr.rhs, idr.ok) for idr in ladders.check_ladder_identities(lam, p)]
     reg = ladders.regularize(lam, p)
-    rows.append(_row(name, "reg_profile", "", ladders.ladder_profile(lam, p) == ladders.ladder_profile(reg, p), True, ladders.ladder_profile(lam, p) == ladders.ladder_profile(reg, p)))
-    rows.append(_row(name, "reg_idempotent", "", ladders.regularize(reg, p) == reg, True, ladders.regularize(reg, p) == reg))
-    rows.append(_row(name, "reg_restricted", "", is_restricted(reg, p), True, is_restricted(reg, p)))
+    rows.append(_holds(name, "reg_profile", "", ladders.ladder_profile(lam, p) == ladders.ladder_profile(reg, p)))
+    rows.append(_holds(name, "reg_idempotent", "", ladders.regularize(reg, p) == reg))
+    rows.append(_holds(name, "reg_restricted", "", is_restricted(reg, p)))
     if is_restricted(lam, p):
-        rows.append(_row(name, "reg_fixed_point", "", reg == lam, True, reg == lam))
+        rows.append(_holds(name, "reg_fixed_point", "", reg == lam))
     if is_strict(lam):
-        same = True
-        for i in range(1, (p - 1) // 2 + 1):
-            if branching.boundary_nodes(lam, i, p, "strict") != branching.boundary_nodes(lam, i, p, "pstrict"):
-                same = False
-        rows.append(_row(name, "strict_add_badd_nonzero", "", same, True, same))
+        same = all(
+            branching.boundary_nodes(lam, i, p, "strict") == branching.boundary_nodes(lam, i, p, "pstrict")
+            for i in range(1, (p - 1) // 2 + 1)
+        )
+        rows.append(_holds(name, "strict_add_badd_nonzero", "", same))
     return rows
 
 
-def suite_ladders(p: int = 3, max_n: int = 25, threads: int = 1, seed: int = 0) -> list[Row]:
+def suite_ladders(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     items = [(lam, p) for n in range(max_n + 1) for lam in p_strict_partitions_of(n, p)]
-    return [row for chunk in _pmap(_ladder_rows, items, threads) for row in chunk]
+    return _fan_out(_ladder_rows, items, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -96,37 +121,27 @@ def _branching_strict_rows(args: tuple[Partition, int, int]) -> list[Row]:
         obstruction = branching.ladder_obstruction(lam, i, p)
         overshoot = branching.dn(lam, i, p)
         if i == half:
-            rows.append(_row(name, "dn_half_equivalence", f"i={i}", obstruction, overshoot, obstruction == overshoot))
+            rows.append(_equal(name, "dn_half_equivalence", f"i={i}", obstruction, overshoot))
         if obstruction:
             rows.append(_row(name, "dn_implication", f"i={i}", obstruction, overshoot, overshoot))
         if i != 0:
             agree = branching.boundary_nodes(lam, i, p, "strict") == branching.boundary_nodes(lam, i, p, "pstrict")
-            rows.append(_row(name, "senses_coincide", f"i={i}", agree, True, agree))
+            rows.append(_holds(name, "senses_coincide", f"i={i}", agree))
     if p == 3 and all(a % 3 != 1 for a in lam):
         up = branching.extremal(branching.extremal(lam, 0, 3, "up").result, 1, 3, "up").result
-        ok1 = all(a % 3 != 1 for a in up)
-        ok2 = len(up) == len(lam) + 1 and up[-1] == 2
-        rows.append(_row(name, "chain_up_avoids_1_mod_3", "", ok1, True, ok1))
-        rows.append(_row(name, "chain_up_length_last", "", (len(up), up[-1] if up else 0), (len(lam) + 1, 2), ok2))
+        rows.append(_holds(name, "chain_up_avoids_1_mod_3", "", all(a % 3 != 1 for a in up)))
+        rows.append(_equal(name, "chain_up_length_last", "", (len(up), up[-1] if up else 0), (len(lam) + 1, 2)))
     if p == 3 and sum(lam) <= min(max_n, 25):
         verdict = classify.classify_homogeneous(lam)
         if verdict.status == classify.PROVEN_HOM:
             reg = ladders.regularize(lam, 3)
             for i in range(2):
-                lhs = branching.eps_hat(lam, i, 3)
-                rhs = branching.eps_i(reg, i, 3)
-                rows.append(_row(name, "homog_eps_match", f"i={i}", lhs, rhs, lhs == rhs))
+                rows.append(_equal(name, "homog_eps_match", f"i={i}", branching.eps_hat(lam, i, 3), branching.eps_i(reg, i, 3)))
                 down = branching.extremal(lam, i, 3, "down").result
-                a = ladders.regularize(down, 3)
-                b = branching.normal_extremal(reg, i, 3, "down")
-                rows.append(_row(name, "homog_restriction_match", f"i={i}", a, b, a == b))
-                lhs_up = branching.phi_hat(lam, i, 3)
-                rhs_up = branching.phi_i(reg, i, 3)
-                rows.append(_row(name, "homog_phi_match", f"i={i}", lhs_up, rhs_up, lhs_up == rhs_up))
+                rows.append(_equal(name, "homog_restriction_match", f"i={i}", ladders.regularize(down, 3), branching.normal_extremal(reg, i, 3, "down")))
+                rows.append(_equal(name, "homog_phi_match", f"i={i}", branching.phi_hat(lam, i, 3), branching.phi_i(reg, i, 3)))
                 up = branching.extremal(lam, i, 3, "up").result
-                a_up = ladders.regularize(up, 3)
-                b_up = branching.normal_extremal(reg, i, 3, "up")
-                rows.append(_row(name, "homog_induction_match", f"i={i}", a_up, b_up, a_up == b_up))
+                rows.append(_equal(name, "homog_induction_match", f"i={i}", ladders.regularize(up, 3), branching.normal_extremal(reg, i, 3, "up")))
     return rows
 
 
@@ -137,34 +152,31 @@ def _branching_restricted_rows(args: tuple[Partition, int]) -> list[Row]:
     for i in range((p - 1) // 2 + 1):
         sig = branching.signature(mu, i, p)
         if sig.eps:
-            lam = branching.tilde_e(mu, i, p)
-            back = branching.tilde_f(lam, i, p)
-            rows.append(_row(name, "tilde_f_after_e", f"i={i}", back, mu, back == mu))
+            back = branching.tilde_f(branching.tilde_e(mu, i, p), i, p)
+            rows.append(_equal(name, "tilde_f_after_e", f"i={i}", back, mu))
         if sig.phi:
-            lam = branching.tilde_f(mu, i, p)
-            back = branching.tilde_e(lam, i, p)
-            rows.append(_row(name, "tilde_e_after_f", f"i={i}", back, mu, back == mu))
+            back = branching.tilde_e(branching.tilde_f(mu, i, p), i, p)
+            rows.append(_equal(name, "tilde_e_after_f", f"i={i}", back, mu))
     return rows
 
 
-def suite_branching(p: int = 3, max_n: int = 20, threads: int = 1, seed: int = 0) -> list[Row]:
-    rows: list[Row] = []
+def suite_branching(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     strict_items = [(lam, p, max_n) for n in range(max_n + 1) for lam in strict_partitions_of(n)]
-    rows += [row for chunk in _pmap(_branching_strict_rows, strict_items, threads) for row in chunk]
+    rows = _fan_out(_branching_strict_rows, strict_items, threads)
     restricted_items = [
         (mu, p)
         for n in range(min(max_n, 18) + 1)
         for mu in p_strict_partitions_of(n, p)
         if is_restricted(mu, p)
     ]
-    rows += [row for chunk in _pmap(_branching_restricted_rows, restricted_items, threads) for row in chunk]
+    rows += _fan_out(_branching_restricted_rows, restricted_items, threads)
     if p == 3:
         for l in range(1, 9):
             got = branching.extremal(families.sigma(l), 1, 3, "up").result
-            rows.append(_row(f"sigma({l})", "chain_sigma_to_tau", "", got, families.tau(l), got == families.tau(l)))
+            rows.append(_equal(f"sigma({l})", "chain_sigma_to_tau", "", got, families.tau(l)))
         for l in range(2, 9):
             got = branching.extremal(families.tau(l), 0, 3, "up").result
-            rows.append(_row(f"tau({l})", "chain_tau_to_sigma", "", got, families.sigma(l + 1), got == families.sigma(l + 1)))
+            rows.append(_equal(f"tau({l})", "chain_tau_to_sigma", "", got, families.sigma(l + 1)))
     return rows
 
 
@@ -188,16 +200,16 @@ def _blocks_confluence_rows(args: tuple[Partition, int]) -> list[Row]:
     return [_row(format_partition(lam), "core_confluence", "", sorted(cores), [barcores.bar_core(lam, p).core], len(cores) == 1)]
 
 
-def suite_blocks(p: int = 3, max_n: int = 16, threads: int = 1, seed: int = 0) -> list[Row]:
-    rows: list[Row] = []
+def suite_blocks(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     conf_items = [(lam, p) for n in range(min(max_n, 20) + 1) for lam in p_strict_partitions_of(n, p)]
-    rows += [row for chunk in _pmap(_blocks_confluence_rows, conf_items, threads) for row in chunk]
+    rows = _fan_out(_blocks_confluence_rows, conf_items, threads)
     for n in range(min(max_n, 16) + 1):
         strict = list(strict_partitions_of(n))
         for lam, mu in combinations(strict, 2):
-            blocks_agree = barcores.same_block(lam, mu, p)
-            contents_agree = ladders.content(lam, p) == ladders.content(mu, p)
-            rows.append(_row(f"{format_partition(lam)}|{format_partition(mu)}", "morris_yaseen", f"n={n}", blocks_agree, contents_agree, blocks_agree == contents_agree))
+            rows.append(_equal(
+                f"{format_partition(lam)}|{format_partition(mu)}", "morris_yaseen", f"n={n}",
+                barcores.same_block(lam, mu, p), ladders.content(lam, p) == ladders.content(mu, p),
+            ))
         everyone = list(p_strict_partitions_of(n, p))
         by_core: dict[Partition, int] = {}
         for lam in everyone:
@@ -207,9 +219,9 @@ def suite_blocks(p: int = 3, max_n: int = 16, threads: int = 1, seed: int = 0) -
         for core, count in sorted(by_core.items()):
             weight = (n - sum(core)) // p
             members = barcores.block_members(core, weight, p, "pstrict")
-            rows.append(_row(format_partition(core), "block_member_count", f"n={n},d={weight}", len(members), count, len(members) == count))
+            rows.append(_equal(format_partition(core), "block_member_count", f"n={n},d={weight}", len(members), count))
             total += len(members)
-        rows.append(_row(f"n={n}", "block_partition_of_set", "", total, len(everyone), total == len(everyone)))
+        rows.append(_equal(f"n={n}", "block_partition_of_set", "", total, len(everyone)))
     if p == 3:
         for l in range(1, 5):
             nu = tuple(range(3 * l - 2, 0, -3))
@@ -231,11 +243,11 @@ def suite_blocks(p: int = 3, max_n: int = 16, threads: int = 1, seed: int = 0) -
                 fibre = barcores.reg_preimages(mu, 3)
                 want_fibre = {join(scaled_add(nu, 3, (1,) * (d - i)), (3 * i,) if i else ()) for i in range(d + 1)}
                 rows.append(_row(format_partition(mu), "reg_fibre_closed_form", f"d={d}", sorted(fibre), sorted(want_fibre), set(fibre) == want_fibre))
-                msum = sum(
-                    dimensions.regn_multiplicity(lamf, 3).s_to_d * dimensions.regn_multiplicity(lamf, 3).p_to_s
-                    for lamf in fibre
-                )
-                rows.append(_row(format_partition(mu), "fibre_multiplicity_sum", f"d={d}", msum, 2 * d + 1, msum == 2 * d + 1))
+                msum = 0
+                for lamf in fibre:
+                    m = dimensions.regn_multiplicity(lamf, 3)
+                    msum += m.s_to_d * m.p_to_s
+                rows.append(_equal(format_partition(mu), "fibre_multiplicity_sum", f"d={d}", msum, 2 * d + 1))
     return rows
 
 
@@ -243,59 +255,50 @@ def suite_blocks(p: int = 3, max_n: int = 16, threads: int = 1, seed: int = 0) -
 # degrees
 
 
-def _staircase_witness_row(args: tuple[int, tuple[int, ...]]) -> Row:
+def _staircase_witness_rows(args: tuple[int, tuple[int, ...]]) -> list[Row]:
     l, tup = args
     lam = families.staircase_adjusted(l, tup)
     witness = dimensions.degree_witness(lam, 3)
-    return _row(format_partition(lam), "staircase_witness", f"l={l},a={tup}", witness, "found", witness is not None)
+    return [_row(format_partition(lam), "staircase_witness", f"l={l},a={tup}", witness, "found", witness is not None)]
 
 
-def suite_degrees(p: int = 3, max_n: int = 12, threads: int = 1, seed: int = 0, max_l: int = 12) -> list[Row]:
-    from math import factorial
-
+def suite_degrees(p: int, max_n: int, threads: int = 1, seed: int = 0, max_l: int = 12) -> list[Row]:
     rows: list[Row] = []
     for n in range(1, min(max_n, 10) + 1):
         total = 0
         for lam in strict_partitions_of(n):
             d = dimensions.spin_dim(lam).dim
             total += d * d // (2 if is_odd_partition(lam) else 1)
-        rows.append(_row(f"n={n}", "sum_of_squares", "", total, factorial(n), total == factorial(n)))
+        rows.append(_equal(f"n={n}", "sum_of_squares", "", total, factorial(n)))
     for n in range(min(max_n, 12) + 1):
         for lam in strict_partitions_of(n):
-            g = dimensions.spin_dim(lam).g
-            cnt = tableaux.count_sst(lam)
-            rows.append(_row(format_partition(lam), "g_equals_tableau_count", "", g, cnt, g == cnt))
+            rows.append(_equal(format_partition(lam), "g_equals_tableau_count", "", dimensions.spin_dim(lam).g, tableaux.count_sst(lam)))
     for name in sorted(families.FAMILIES):
         fam = families.family(name)
         lo, hi = fam.formula_range
         hi = min(hi, max_l)
         if fam.ratio_kind == "direct":
             for l in range(lo, hi + 1):
-                got = dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
-                want = fam.ratio(l)
-                rows.append(_row(name, "ratio_formula", f"l={l}", got, want, got == want))
+                rows.append(_equal(name, "ratio_formula", f"l={l}", dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3), fam.ratio(l)))
         else:
             for l in range(lo, hi):
                 got = dimensions.ddeg_ratio(fam.lam(l + 1), fam.mu(l + 1), 3) / dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
-                want = fam.ratio(l)
-                rows.append(_row(name, "ratio_step_formula", f"l={l}", got, want, got == want))
+                rows.append(_equal(name, "ratio_step_formula", f"l={l}", got, fam.ratio(l)))
         glo, ghi = fam.greater_range
         for l in list(range(glo, min(ghi, max_l) + 1)) + [x for x in fam.extra_greater if x <= max_l]:
             r = dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
             if l in fam.equal_at:
-                rows.append(_row(name, "ratio_equal_at", f"l={l}", r, 1, r == 1))
+                rows.append(_equal(name, "ratio_equal_at", f"l={l}", r, 1))
             else:
                 rows.append(_row(name, "ratio_greater", f"l={l}", r, "> 1", r > 1))
             if fam.same_reg:
-                a = ladders.regularize(fam.lam(l), 3)
-                b = ladders.regularize(fam.mu(l), 3)
-                rows.append(_row(name, "same_regularisation", f"l={l}", a, b, a == b))
+                rows.append(_equal(name, "same_regularisation", f"l={l}", ladders.regularize(fam.lam(l), 3), ladders.regularize(fam.mu(l), 3)))
     jobs = [
         (l, tup)
         for l in range(3, min(8, max_l) + 1)
         for tup in families.admissible_row_tuples(l)
     ]
-    rows += _pmap(_staircase_witness_row, jobs, threads)
+    rows += _fan_out(_staircase_witness_rows, jobs, threads)
     return rows
 
 
@@ -303,28 +306,28 @@ def suite_degrees(p: int = 3, max_n: int = 12, threads: int = 1, seed: int = 0, 
 # tableaux
 
 
-def suite_tableaux(p: int = 3, max_n: int = 12, threads: int = 1, seed: int = 0) -> list[Row]:
+def suite_tableaux(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     rows: list[Row] = []
     for n in range(min(max_n, 12) + 1):
         for lam in strict_partitions_of(n):
+            name = format_partition(lam)
             tabs = list(tableaux.enumerate_sst(lam))
             g = dimensions.spin_dim(lam).g
             distinct = len(set(tabs)) == len(tabs)
-            standard = all(t.is_standard() for t in tabs)
-            rows.append(_row(format_partition(lam), "enumeration_count", "", len(tabs), g, len(tabs) == g and distinct))
-            rows.append(_row(format_partition(lam), "enumeration_standard", "", standard, True, standard))
+            rows.append(_row(name, "enumeration_count", "", len(tabs), g, len(tabs) == g and distinct))
+            rows.append(_holds(name, "enumeration_standard", "", all(t.is_standard() for t in tabs)))
             if tabs and sum(lam) <= 10:
                 words_ok = all(
                     sorted(t.residue_word(p)) == sorted(k for k, v in ladders.content(lam, p).items() for _ in range(v))
                     for t in tabs
                 )
-                rows.append(_row(format_partition(lam), "residue_word_content", "", words_ok, True, words_ok))
+                rows.append(_holds(name, "residue_word_content", "", words_ok))
     for l in (3, 4):
         nu = tuple(range(3 * l - 2, 0, -3))
         for d in range(1, min(l, 3) + 1):
             lam = scaled_add(nu, 3, (1,) * d)
             tab = tableaux.find_patterned_tableau(lam, nu, 3)
-            rows.append(_row(format_partition(lam), "patterned_tableau", f"l={l},d={d}", tab is not None, True, tab is not None))
+            rows.append(_holds(format_partition(lam), "patterned_tableau", f"l={l},d={d}", tab is not None))
     return rows
 
 
@@ -332,10 +335,10 @@ def suite_tableaux(p: int = 3, max_n: int = 12, threads: int = 1, seed: int = 0)
 # wreath
 
 
-def suite_wreath(p: int = 3, max_n: int = 8, threads: int = 1, seed: int = 0, decomp_dir: str | None = None) -> list[Row]:
+def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     rows: list[Row] = []
     max_d = min(max_n, 8)
-    for n in range(min(max_d, 8) + 1):
+    for n in range(max_d + 1):
         for nu in partitions_of(n):
             for a in range(n + 1):
                 for alpha in partitions_of(a):
@@ -355,16 +358,16 @@ def suite_wreath(p: int = 3, max_n: int = 8, threads: int = 1, seed: int = 0, de
             for nu in parts
             for pi in parts
         )
-        rows.append(_row(f"d={d}", "cartan0_symmetry", "", sym_ok, True, sym_ok))
+        rows.append(_holds(f"d={d}", "cartan0_symmetry", "", sym_ok))
     for d in range(1, max_d + 1):
         for nu in partitions_of(d):
             v = wreath.wreath_cartan0(nu, nu).value
             if nu in ((d,), (1,) * d):
-                rows.append(_row(format_partition(nu), "cartan0_diagonal_equality", f"d={d}", v, 2 * d + 1, v == 2 * d + 1))
+                rows.append(_equal(format_partition(nu), "cartan0_diagonal_equality", f"d={d}", v, 2 * d + 1))
             else:
                 rows.append(_row(format_partition(nu), "cartan0_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1))
     for d in range(3, min(max_d, 6) + 1):
-        matrix = wreath.bundled_decomp_matrix(d) if decomp_dir is None else wreath.load_decomp_matrix(f"{decomp_dir}/s{d}_p3.txt")
+        matrix = wreath.bundled_decomp_matrix(d)
         for mu in matrix.columns:
             v = wreath.wreath_cartan_p(mu, matrix).value
             rows.append(_row(format_partition(mu), "cartan3_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1))
@@ -397,8 +400,7 @@ def _classification_rows(args: tuple[Partition, int]) -> list[Row]:
     if n <= min(max_n, 28) and verdict.status == classify.PROVEN_HOM:
         cert = classify.homogeneity_obstruction(lam)
         rows.append(_row(name, "soundness_no_certificate", verdict.reason, cert, None, cert is None))
-    if n >= 1 and n <= min(max_n, 28) and verdict.status == classify.PROVEN_HOM:
-        for i in (0, 1):
+        for i in (0, 1) if lam else ():
             down = branching.extremal(lam, i, 3, "down").result
             sub = classify.classify_homogeneous(down)
             rows.append(_row(name, "restriction_closure", f"i={i}", sub.status, "not ProvenNotHomogeneous", sub.status != classify.PROVEN_NOT))
@@ -408,8 +410,7 @@ def _classification_rows(args: tuple[Partition, int]) -> list[Row]:
     special = classify.special_decompose(lam)
     if special is not None and verdict.proven:
         # the settled special cases coincide with the column-valuation test
-        carter = classify.carter3(special.alpha)
-        rows.append(_row(name, "special_verdict_matches_carter", "", verdict.status == classify.PROVEN_HOM, carter, (verdict.status == classify.PROVEN_HOM) == carter))
+        rows.append(_equal(name, "special_verdict_matches_carter", "", verdict.status == classify.PROVEN_HOM, classify.carter3(special.alpha)))
     if n <= min(max_n, 25):
         for i in (0, 1):
             if branching.phi_hat(lam, i, 3) == 0:
@@ -419,34 +420,24 @@ def _classification_rows(args: tuple[Partition, int]) -> list[Row]:
                     agree = (verdict.status == classify.PROVEN_HOM) == (sub.status == classify.PROVEN_HOM)
                     rows.append(_row(name, "phi_zero_verdict_agrees", f"i={i}", verdict.status, sub.status, agree))
     if verdict.homogeneous:
-        from .partitions import parity_stats
-
         lp = parity_stats(lam, 3).l_p
         rows.append(_row(name, "homogeneous_lp_bound", verdict.status, lp, "<= 1", lp <= 1))
     return rows
 
 
-def _core_join_three(lam: Partition) -> Partition | None:
-    if 3 not in lam:
-        return None
-    rest = tuple(a for a in lam if a != 3)
-    return rest if barcores.is_bar_core(rest, 3) else None
-
-
 def matches_module_list(lam: Partition, context: str) -> bool:
     """Membership in the explicit irreducible-module patterns (2)-(5)."""
     odd = is_odd_partition(lam)
+    rest = classify.core_join_three(lam)
     if context == "sn":
         if odd and len(lam) == 1 and lam[0] % 6 == 0:
             return True
-        rest = _core_join_three(lam)
         if odd and rest is not None and is_odd_partition(rest):
             return True
         return lam in {(2, 1), (3, 2, 1), (5, 3, 2, 1), (5, 4, 3, 1)}
     if context == "an":
         if not odd and len(lam) == 1 and lam[0] % 3 == 0 and lam[0] % 2 == 1:
             return True
-        rest = _core_join_three(lam)
         if not odd and rest is not None and not is_odd_partition(rest):
             return True
         return lam in {
@@ -461,11 +452,11 @@ def matches_module_list(lam: Partition, context: str) -> bool:
     raise ValueError(context)
 
 
-def suite_classification(p: int = 3, max_n: int = 30, threads: int = 1, seed: int = 0) -> list[Row]:
+def suite_classification(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     if p != 3:
         raise ValueError("classification suite is pinned to p=3")
     items = [(lam, max_n) for n in range(max_n + 1) for lam in strict_partitions_of(n)]
-    rows = [row for chunk in _pmap(_classification_rows, items, threads) for row in chunk]
+    rows = _fan_out(_classification_rows, items, threads)
     for n in range(1, min(max_n, 20) + 1):
         for lam in strict_partitions_of(n):
             special = classify.special_decompose(lam) is not None
@@ -475,15 +466,26 @@ def suite_classification(p: int = 3, max_n: int = 30, threads: int = 1, seed: in
                     continue
                 listed = matches_module_list(lam, context)
                 if verdict.irreducible:
-                    ok = special or listed
-                    rows.append(_row(format_partition(lam), "module_list_covers", context, "irreducible", "special or listed", ok))
+                    rows.append(_row(format_partition(lam), "module_list_covers", context, "irreducible", "special or listed", special or listed))
                 if listed:
-                    rows.append(_row(format_partition(lam), "module_list_irreducible", context, verdict.irreducible, True, verdict.irreducible))
+                    rows.append(_holds(format_partition(lam), "module_list_irreducible", context, verdict.irreducible))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # runner
+
+# name -> (suite, default max_n at p = 3, default max_n at any other p);
+# ``spinhom verify --suite all`` runs the suites in this order
+SUITES: dict[str, tuple[Callable[..., list[Row]], int, int]] = {
+    "ladders": (suite_ladders, 25, 18),
+    "branching": (suite_branching, 20, 16),
+    "blocks": (suite_blocks, 16, 16),
+    "degrees": (suite_degrees, 12, 12),
+    "tableaux": (suite_tableaux, 12, 12),
+    "wreath": (suite_wreath, 8, 8),
+    "classification": (suite_classification, 30, 30),
+}
 
 
 def run_suite(
@@ -494,22 +496,15 @@ def run_suite(
     seed: int = 0,
     max_l: int = 12,
 ) -> list[Row]:
-    registry: dict[str, tuple[Callable, int]] = {
-        "ladders": (suite_ladders, 25 if p == 3 else 18),
-        "branching": (suite_branching, 20 if p == 3 else 16),
-        "blocks": (suite_blocks, 16),
-        "degrees": (suite_degrees, 12),
-        "tableaux": (suite_tableaux, 12),
-        "wreath": (suite_wreath, 8),
-        "classification": (suite_classification, 30),
-    }
-    if name not in registry:
+    """Rows of one suite; ``max_n`` defaults to the suite's entry in ``SUITES``."""
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    fn, default_n = registry[name]
-    kwargs = dict(p=p, max_n=default_n if max_n is None else max_n, threads=threads, seed=seed)
-    if name == "degrees":
-        kwargs["max_l"] = max_l
-    return fn(**kwargs)
+    check_odd_prime(p)
+    fn, max_n_p3, max_n_other = SUITES[name]
+    if max_n is None:
+        max_n = max_n_p3 if p == 3 else max_n_other
+    extra = {"max_l": max_l} if name == "degrees" else {}
+    return fn(p, max_n, threads=threads, seed=seed, **extra)
 
 
 def failures(rows: Iterable[Row]) -> list[Row]:

@@ -17,7 +17,7 @@ format, never computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .partitions import Partition, PartitionError, conjugate, format_partition, parse_partition, partitions_of
@@ -125,8 +125,12 @@ class DecompMatrix:
     d: int
     entries: tuple[tuple[tuple[Partition, Partition], int], ...]
 
+    @cached_property
+    def _lookup(self) -> dict[tuple[Partition, Partition], int]:
+        return dict(self.entries)
+
     def mult(self, row: Partition, col: Partition) -> int:
-        return dict(self.entries).get((row, col), 0)
+        return self._lookup.get((row, col), 0)
 
     @property
     def columns(self) -> tuple[Partition, ...]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spinhom.cli import main
 
 
@@ -113,6 +115,47 @@ def test_domain_errors(capsys, tmp_path):
     path = tmp_path / "s3.txt"
     path.write_text("p=3 d=3\n3 : 3=1\n")
     assert main(["cartan", "--d", "4", "--char3", "--decomp", str(path), "--mu", "3"]) == 1
+
+
+@pytest.mark.parametrize("p", ["0", "1", "2", "4", "9"])
+def test_p_must_be_an_odd_prime(capsys, p):
+    for argv in (
+        ["reg", "5,4"],
+        ["core", "5,4"],
+        ["block", "--core", "4,1", "--weight", "1"],
+        ["branch", "5,4", "--i", "0", "--op", "up"],
+        ["ddeg", "5,4"],
+        ["witness", "5,4"],
+        ["sst", "2,1", "--residue-words"],
+        ["verify", "--suite", "ladders", "--max-n", "3"],
+    ):
+        assert main(argv + ["--p", p]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: p must be an odd prime, got {p}\n"
+
+
+def test_family_index_below_declared_range(capsys):
+    assert main(["family", "--id", "deglem9", "--l", "-3"]) == 1
+    assert main(["family", "--id", "deglem1", "--l", "0"]) == 1
+    assert main(["family", "--id", "deglem1", "--l", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: family deglem9 starts at l=1, got l=-3",
+        "error: family deglem1 starts at l=3, got l=0",
+        "error: family deglem1 starts at l=3, got l=2",
+    ]
+    # the smallest declared index may come from extra_greater alone
+    code, out = run(capsys, "family", "--id", "deglem6", "--l", "4")
+    assert code == 0 and json.loads(out)["lam"] == [13, 9, 5, 4]
+
+
+def test_verify_exit_code_on_empty_run(capsys):
+    assert main(["verify", "--suite", "ladders", "--max-n", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "# suite ladders: 0 checks\n"
+    assert captured.err == "# failures: 0\nerror: suite ladders checked nothing\n"
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from spinhom.partitions import (
     PartitionError,
+    check_odd_prime,
     classify_shape,
     conjugate,
     dominates,
@@ -58,6 +59,16 @@ def test_shape_flags():
     assert classify_shape((3,), 3).is_p_strict
     assert not classify_shape((3,), 3).is_restricted
     assert classify_shape((6, 4, 1), 3).is_restricted
+
+
+def test_check_odd_prime():
+    for p in (3, 5, 7, 11, 13, 97):
+        check_odd_prime(p)
+    for p in (-3, 0, 1, 2, 4, 9, 15, 25, 49, 91):
+        with pytest.raises(PartitionError, match="odd prime"):
+            check_odd_prime(p)
+    with pytest.raises(PartitionError):
+        classify_shape((2, 1), 9)
 
 
 def test_strict_implies_p_strict():

@@ -22,11 +22,21 @@ def test_determinism_across_thread_counts():
     sequential = verify.suite_ladders(3, 10, threads=1)
     parallel = verify.suite_ladders(3, 10, threads=max(2, min(4, os.cpu_count() or 2)))
     assert sequential == parallel
+    for name in verify.SUITES:
+        sequential = verify.run_suite(name, p=3, max_n=8, max_l=4, threads=1)
+        parallel = verify.run_suite(name, p=3, max_n=8, max_l=4, threads=2)
+        assert sequential == parallel, name
 
 
 def test_unknown_suite():
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 9])
+def test_run_suite_rejects_p_not_an_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        verify.run_suite("ladders", p=p, max_n=3)
 
 
 def test_wreath_suite_seeded_sample_is_stable():
