@@ -136,7 +136,7 @@ def block_members(core: Partition, weight: int, p: int, shape: str = "pstrict") 
 
 
 def reg_preimages(mu: Partition, p: int) -> list[Partition]:
-    """All strict partitions whose regularisation is mu.
+    """All strict partitions whose regularisation is mu, greatest first.
 
     Regularisation is a function of the ladder profile alone, so the
     fibre consists of the strict partitions with the same profile;
@@ -189,5 +189,7 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
 
     rec(1, sum(mu) + p, [])
     result = sorted(out, reverse=True)
-    assert all(regularize(lam, p) == mu for lam in result)
+    for lam in result:
+        if regularize(lam, p) != mu:
+            raise RuntimeError(f"fibre search for {mu} at p={p} returned {lam}, which regularises elsewhere")
     return result

@@ -76,7 +76,7 @@ def cmd_ddeg(args) -> int:
 
 def cmd_witness(args) -> int:
     lam = parse_partition(args.partition)
-    w = dimensions.degree_witness(lam, args.p, whole_block=args.whole_block)
+    w = dimensions.degree_witness(lam, args.p)
     _emit({"witness": None if w is None else list(w)})
     return 0
 
@@ -104,6 +104,8 @@ def cmd_lr(args) -> int:
 
 
 def cmd_cartan(args) -> int:
+    if args.d < 1:
+        raise PartitionError(f"--d must be at least 1, got {args.d}")
     if args.char3:
         if args.decomp is None or args.mu is None:
             raise PartitionError("--char3 needs --decomp FILE and --mu")
@@ -135,6 +137,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.n < 0:
+        raise PartitionError(f"--n must be non-negative, got {args.n}")
     kept = (classify.PROVEN_HOM, classify.CONJ_HOM) if args.include_conjectural else (classify.PROVEN_HOM,)
     for lam in strict_partitions_of(args.n):
         special = classify.special_decompose(lam) is not None
@@ -167,7 +171,7 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     threads = args.threads or int(os.environ.get("SPINHOM_THREADS", "1"))
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    names = verify.suites_at(args.p) if args.suite == "all" else [args.suite]
     bad = 0
     empty = []
     for name in names:
@@ -228,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("witness", cmd_witness, help="smaller-degree partner in the regularisation fibre")
     sp.add_argument("partition")
     sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--whole-block", action="store_true")
 
     sp = add("sst", cmd_sst, help="standard shifted tableaux as JSON lines")
     sp.add_argument("partition")

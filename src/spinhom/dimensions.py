@@ -7,7 +7,7 @@ is given by Schur's bar-length product formula
           * prod_{r<s} (lam_r - lam_s) / prod_{r<s} (lam_r + lam_s),
 
 with l = l(lam).  Writing g for the factor after the power of two, g is
-a positive integer (asserted on every call) equal to the number of
+a positive integer (checked on every call) equal to the number of
 standard shifted tableaux of shape lam.
 
 Dividing the dimension by the regularisation multiplicity
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import combinations
+from math import factorial, prod
 
 from .barcores import reg_preimages
 from .ladders import is_p_odd, regularize
@@ -41,15 +43,13 @@ class DimensionReport:
 
 def _tableau_factor(lam: Partition) -> int:
     """n!/prod(lam_r!) * prod(lam_r - lam_s)/prod(lam_r + lam_s), exactly."""
-    n = sum(lam)
-    val = Fraction(factorial(n))
-    for a in lam:
-        val /= factorial(a)
-    for r in range(len(lam)):
-        for s in range(r + 1, len(lam)):
-            val *= Fraction(lam[r] - lam[s], lam[r] + lam[s])
-    assert val.denominator == 1, f"bar-length product not integral on {lam}"
-    return int(val)
+    pairs = list(combinations(lam, 2))
+    num = factorial(sum(lam)) * prod(a - b for a, b in pairs)
+    den = prod(factorial(a) for a in lam) * prod(a + b for a, b in pairs)
+    g, rem = divmod(num, den)
+    if rem or g < 1:
+        raise RuntimeError(f"bar-length product {num}/{den} is not a positive integer on {lam}")
+    return g
 
 
 def spin_dim(lam: Partition) -> DimensionReport:
@@ -58,7 +58,6 @@ def spin_dim(lam: Partition) -> DimensionReport:
     n = sum(lam)
     two_exp = (n - len(lam) + 1) // 2
     g = _tableau_factor(lam)
-    assert g >= 1 or not lam
     return DimensionReport((1 << two_exp) * g, g, two_exp)
 
 
@@ -74,7 +73,7 @@ def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
     """The two regularisation-column multiplicities, both powers of two.
 
     Their product is 2^l_p(lam); the exponents (l_p +- (x - y))/2 are
-    non-negative integers (asserted, not assumed).
+    non-negative integers (checked, not assumed).
     """
     if not is_strict(lam):
         raise PartitionError(f"{lam} is not strict")
@@ -82,7 +81,8 @@ def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
     x = stats.x
     y = 1 if is_p_odd(lam, p) else 0
     up, down = stats.l_p + x - y, stats.l_p + y - x
-    assert up % 2 == 0 and up >= 0 and down >= 0, (lam, p, up, down)
+    if up % 2 or up < 0 or down < 0:
+        raise RuntimeError(f"regularisation exponents {up}/2, {down}/2 of {lam} at p={p}")
     return RegnMultiplicities(1 << (up // 2), 1 << (down // 2), x, y)
 
 
@@ -92,8 +92,8 @@ def ddeg(lam: Partition, p: int) -> int:
     stats = parity_stats(lam, p)
     exp = (sum(lam) - len(lam) - stats.l_p + 1) // 2
     value = (1 << exp) * report.g
-    mult = regn_multiplicity(lam, p)
-    assert value * mult.s_to_d == report.dim
+    if value * regn_multiplicity(lam, p).s_to_d != report.dim:
+        raise RuntimeError(f"ddeg {value} times the multiplicity is not dim {report.dim} on {lam} at p={p}")
     return value
 
 
@@ -102,32 +102,20 @@ def ddeg_ratio(lam: Partition, mu: Partition, p: int) -> Fraction:
     return Fraction(ddeg(lam, p), ddeg(mu, p))
 
 
-def degree_witness(lam: Partition, p: int, whole_block: bool = False) -> Partition | None:
-    """A strict partner with the same regularisation and smaller ddeg.
+@lru_cache(maxsize=None)
+def _ranked_fibre(mu: Partition, p: int) -> tuple[tuple[int, Partition], ...]:
+    """(ddeg, nu) over the fibre of mu, least ddeg first; the stable sort
+    keeps reg_preimages' greatest-first order among equal ddeg."""
+    return tuple(sorted(((ddeg(nu, p), nu) for nu in reg_preimages(mu, p)), key=lambda entry: entry[0]))
 
-    Searches the regularisation fibre of lam; with ``whole_block`` the
-    search widens to every strict partition of the block (exploratory
-    only, the certificate still requires the matching regularisation).
-    Returns the lexicographically greatest partition among those of
-    minimal ddeg, or None.
+
+def degree_witness(lam: Partition, p: int) -> Partition | None:
+    """A strict partner with the same regularisation and smaller ddeg, or None.
+
+    The partner has the least ddeg in lam's regularisation fibre, and is
+    the lexicographically greatest among equal ddeg.  Each fibre is
+    enumerated and ranked once per process.
     """
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
-    mu_reg = regularize(lam, p)
-    fibre = reg_preimages(mu_reg, p)
-    if whole_block:
-        from .barcores import bar_core, block_members
-
-        bc = bar_core(lam, p)
-        fibre = [
-            nu
-            for nu in block_members(bc.core, bc.weight, p, "strict")
-            if regularize(nu, p) == mu_reg
-        ]
-    own = ddeg(lam, p)
-    scored = [(ddeg(nu, p), nu) for nu in fibre if nu != lam]
-    smaller = [(val, nu) for val, nu in scored if val < own]
-    if not smaller:
-        return None
-    least = min(val for val, _ in smaller)
-    return max(nu for val, nu in smaller if val == least)
+    own = ddeg(lam, p)  # raises PartitionError unless lam is strict
+    least, nu = _ranked_fibre(regularize(lam, p), p)[0]
+    return nu if least < own else None

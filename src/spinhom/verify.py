@@ -7,9 +7,10 @@ exact identities or cross-checks, and yields one row per check:
 
 Rows are plain strings ready for TSV output; a suite passes when no row
 has ok == "FAIL".  ``SUITES`` maps each suite to its function and its
-default ``max_n``.  Every suite's main sweep runs to ``max_n`` as given,
-and the ladders suite is that sweep alone; these checks stop at a fixed
-cap whatever ``max_n`` asks for:
+default ``max_n``.  The degrees, wreath and classification suites check
+p = 3 facts only and are refused at any other p.  Every suite's main
+sweep runs to ``max_n`` as given, and the ladders suite is that sweep
+alone; these checks stop at a fixed cap whatever ``max_n`` asks for:
 
 * branching: homogeneous-case matches n <= 25, tilde inverses n <= 18;
 * blocks: core confluence n <= 20, Morris-Yaseen and block counts n <= 16;
@@ -453,8 +454,6 @@ def matches_module_list(lam: Partition, context: str) -> bool:
 
 
 def suite_classification(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
-    if p != 3:
-        raise ValueError("classification suite is pinned to p=3")
     items = [(lam, max_n) for n in range(max_n + 1) for lam in strict_partitions_of(n)]
     rows = _fan_out(_classification_rows, items, threads)
     for n in range(1, min(max_n, 20) + 1):
@@ -475,17 +474,22 @@ def suite_classification(p: int, max_n: int, threads: int = 1, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 # runner
 
-# name -> (suite, default max_n at p = 3, default max_n at any other p);
-# ``spinhom verify --suite all`` runs the suites in this order
-SUITES: dict[str, tuple[Callable[..., list[Row]], int, int]] = {
+# name -> (suite, default max_n at p = 3, at any other p or None if p = 3
+# only); ``spinhom verify --suite all`` runs the suites in this order
+SUITES: dict[str, tuple[Callable[..., list[Row]], int, int | None]] = {
     "ladders": (suite_ladders, 25, 18),
     "branching": (suite_branching, 20, 16),
     "blocks": (suite_blocks, 16, 16),
-    "degrees": (suite_degrees, 12, 12),
+    "degrees": (suite_degrees, 12, None),
     "tableaux": (suite_tableaux, 12, 12),
-    "wreath": (suite_wreath, 8, 8),
-    "classification": (suite_classification, 30, 30),
+    "wreath": (suite_wreath, 8, None),
+    "classification": (suite_classification, 30, None),
 }
+
+
+def suites_at(p: int) -> list[str]:
+    """The names of the suites defined at p, in ``SUITES`` order."""
+    return [name for name, (_, _, max_n_other) in SUITES.items() if p == 3 or max_n_other is not None]
 
 
 def run_suite(
@@ -500,6 +504,8 @@ def run_suite(
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
     check_odd_prime(p)
+    if name not in suites_at(p):
+        raise ValueError(f"suite {name} is defined at p=3 only, got p={p}")
     fn, max_n_p3, max_n_other = SUITES[name]
     if max_n is None:
         max_n = max_n_p3 if p == 3 else max_n_other

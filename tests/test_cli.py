@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spinhom import verify
 from spinhom.cli import main
 
 
@@ -135,6 +136,24 @@ def test_p_must_be_an_odd_prime(capsys, p):
         assert captured.err == f"error: p must be an odd prime, got {p}\n"
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_cartan_degree_below_one(capsys, d):
+    for extra in ([], ["--nu", "1"], ["--char3"]):
+        assert main(["cartan", "--d", d] + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --d must be at least 1, got {d}\n"
+
+
+def test_enumerate_negative_n(capsys):
+    assert main(["enumerate", "--n", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be non-negative, got -3\n"
+    code, out = run(capsys, "enumerate", "--n", "0")
+    assert code == 0 and len(out.splitlines()) == 1  # the empty partition
+
+
 def test_family_index_below_declared_range(capsys):
     assert main(["family", "--id", "deglem9", "--l", "-3"]) == 1
     assert main(["family", "--id", "deglem1", "--l", "0"]) == 1
@@ -156,6 +175,25 @@ def test_verify_exit_code_on_empty_run(capsys):
     captured = capsys.readouterr()
     assert captured.out == "# suite ladders: 0 checks\n"
     assert captured.err == "# failures: 0\nerror: suite ladders checked nothing\n"
+
+
+@pytest.mark.parametrize("suite", ["degrees", "wreath", "classification"])
+def test_verify_refuses_p3_only_suite_at_other_p(capsys, suite):
+    assert main(["verify", "--suite", suite, "--p", "5", "--max-n", "3", "--max-l", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: suite {suite} is defined at p=3 only, got p=5\n"
+
+
+def test_verify_all_runs_the_suites_defined_at_p(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--p", "5", "--max-n", "4", "--max-l", "3")
+    assert code == 0
+    headers = [line.split(":")[0] for line in out.splitlines() if line.startswith("#")]
+    assert headers == ["# suite ladders", "# suite branching", "# suite blocks", "# suite tableaux"]
+    code, out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--max-l", "3")
+    assert code == 0
+    headers = [line.split(":")[0] for line in out.splitlines() if line.startswith("#")]
+    assert headers == [f"# suite {name}" for name in verify.SUITES]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

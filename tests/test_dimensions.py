@@ -3,9 +3,11 @@ from math import factorial
 
 import pytest
 
+from spinhom.barcores import reg_preimages
 from spinhom.dimensions import (
     DimensionReport,
     RegnMultiplicities,
+    _ranked_fibre,
     ddeg,
     ddeg_ratio,
     degree_witness,
@@ -74,6 +76,8 @@ def test_degree_witness():
 
     # restricted partition alone in its fibre has no witness
     assert degree_witness((2, 1), 3) is None
+    with pytest.raises(PartitionError):
+        degree_witness((3, 3), 3)  # 3-strict, not strict
 
     lam = (10, 6, 4, 3, 1)
     w = degree_witness(lam, 3)
@@ -83,19 +87,18 @@ def test_degree_witness():
 
 
 def test_degree_witness_canonical_choice():
-    from spinhom.barcores import reg_preimages
-
-    lam = (9, 6, 3)
-    w = degree_witness(lam, 3)
-    fibre = [
-        nu
-        for nu in reg_preimages(regularize(lam, 3), 3)
-        if nu != lam and ddeg(nu, 3) < ddeg(lam, 3)
-    ]
-    least = min(ddeg(nu, 3) for nu in fibre)
-    assert w == max(nu for nu in fibre if ddeg(nu, 3) == least)
-
-
-def test_whole_block_flag_agrees_on_fibre():
-    lam = (9, 6, 3)
-    assert degree_witness(lam, 3) == degree_witness(lam, 3, whole_block=True)
+    """The least smaller ddeg in the fibre, the greatest partition among
+    ties, whichever member of a fibre is asked first (n <= 20, p = 3, 5)."""
+    for p in (3, 5):
+        fibres = {regularize(lam, p) for n in range(21) for lam in strict_partitions_of(n)}
+        for mu in fibres:
+            fibre = reg_preimages(mu, p)
+            score = {nu: ddeg(nu, p) for nu in fibre}
+            want = {}
+            for lam in fibre:
+                smaller = [nu for nu in fibre if nu != lam and score[nu] < score[lam]]
+                least = min((score[nu] for nu in smaller), default=None)
+                want[lam] = max((nu for nu in smaller if score[nu] == least), default=None)
+            for order in (fibre, fibre[::-1]):
+                _ranked_fibre.cache_clear()
+                assert [degree_witness(lam, p) for lam in order] == [want[lam] for lam in order], (mu, p)

@@ -39,6 +39,15 @@ def test_run_suite_rejects_p_not_an_odd_prime(p):
         verify.run_suite("ladders", p=p, max_n=3)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_p3_only_suites_are_refused_at_other_p(p):
+    assert verify.suites_at(3) == list(verify.SUITES)
+    assert verify.suites_at(p) == ["ladders", "branching", "blocks", "tableaux"]
+    for name in ("degrees", "wreath", "classification"):
+        with pytest.raises(ValueError, match="defined at p=3 only"):
+            verify.run_suite(name, p=p, max_n=3, max_l=3)
+
+
 def test_wreath_suite_seeded_sample_is_stable():
     a = verify.suite_wreath(3, 6, seed=0)
     b = verify.suite_wreath(3, 6, seed=0)
