@@ -28,8 +28,9 @@ tilde_f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .ladders import ladder_index, regularize, residue
+from .ladders import _MEMO_SIZE, ladder_index, regularize, residue
 from .partitions import (
     Partition,
     PartitionError,
@@ -119,12 +120,15 @@ def _feasible_levels(lam: Partition, i: int, p: int, mode: str, direction: int) 
     return [forward[r] & backward[r] for r in range(n_rows)]
 
 
-def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[list[Node], list[Node]]:
+@lru_cache(maxsize=_MEMO_SIZE)
+def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     """Addable and removable i-nodes of lam in the given sense.
 
-    Both lists come back ordered by increasing column; across the two
-    lists all columns are distinct (asserted), which is what makes the
-    signature reading order well defined.
+    Both tuples come back ordered by increasing column; across the two
+    all columns are distinct (checked), which is what makes the
+    signature reading order well defined.  Memoised on the last
+    ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
+    input that raises is never stored.
     """
     _check_mode(lam, p, mode)
     if not 0 <= i <= (p - 1) // 2:
@@ -146,8 +150,9 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[list[Node
     addables.sort(key=lambda rc: rc[1])
     removables.sort(key=lambda rc: rc[1])
     cols = [c for _, c in addables] + [c for _, c in removables]
-    assert len(cols) == len(set(cols)), (lam, i, p, mode)
-    return addables, removables
+    if len(cols) != len(set(cols)):
+        raise RuntimeError(f"boundary {i}-nodes of {lam} share a column (p={p}, mode={mode})")
+    return tuple(addables), tuple(removables)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +192,8 @@ def signature(mu: Partition, i: int, p: int) -> SignatureReport:
         else:
             stack.append(k)
     reduced = "".join(entries[k][1] for k in stack)
-    assert "+-" not in reduced
+    if "+-" in reduced:
+        raise RuntimeError(f"reduced {i}-signature {reduced} of {mu} is not of the form -...+")
     normals = tuple(entries[k][0] for k in stack if entries[k][1] == "-")
     conormals = tuple(entries[k][0] for k in stack if entries[k][1] == "+")
     return SignatureReport(tuple(entries), raw, reduced, normals, conormals)
@@ -209,7 +215,8 @@ def tilde_e(mu: Partition, i: int, p: int) -> Partition:
         raise PartitionError(f"{mu} has no normal {i}-node")
     r, c = sig.normals[-1]
     out = _with_row(mu, r, c - 1)
-    assert is_restricted(out, p)
+    if not is_restricted(out, p):
+        raise RuntimeError(f"tilde_e of {mu} at i={i} gives {out}, not restricted {p}-strict")
     return out
 
 
@@ -220,7 +227,8 @@ def tilde_f(mu: Partition, i: int, p: int) -> Partition:
         raise PartitionError(f"{mu} has no conormal {i}-node")
     r, c = sig.conormals[0]
     out = _with_row(mu, r, c)
-    assert is_restricted(out, p)
+    if not is_restricted(out, p):
+        raise RuntimeError(f"tilde_f of {mu} at i={i} gives {out}, not restricted {p}-strict")
     return out
 
 
@@ -260,7 +268,7 @@ def extremal(lam: Partition, i: int, p: int, direction: str) -> ExtremalResult:
     """Remove all strictly-removable / add all strictly-addable i-nodes.
 
     The joint move must itself leave a strict partition; that the full
-    set of boundary nodes can be moved at once is asserted rather than
+    set of boundary nodes can be moved at once is checked rather than
     assumed.
     """
     if direction not in ("down", "up"):
@@ -275,7 +283,8 @@ def extremal(lam: Partition, i: int, p: int, direction: str) -> ExtremalResult:
     out = tuple(a for a in rows if a > 0)
     if not is_strict(out):
         raise PartitionError(f"joint {direction} move of all {i}-nodes breaks strictness: {lam}")
-    assert abs(sum(out) - sum(lam)) == len(moved)
+    if abs(sum(out) - sum(lam)) != len(moved):
+        raise RuntimeError(f"joint {direction} move of the {len(moved)} {i}-nodes of {lam} gives {out}")
     return ExtremalResult(out, len(moved))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .partitions import (
@@ -30,6 +31,12 @@ from .partitions import (
     is_strict,
     part,
 )
+
+# Entries kept by the memos of ``regularize`` and ``branching.boundary_nodes``.
+# The residue checks of one partition and the signatures of its
+# regularisation reuse a handful of recent entries; an unbounded memo keeps
+# every partition ever seen and grows the resident set for little gain.
+_MEMO_SIZE = 64
 
 
 def residue(r: int, c: int, p: int) -> int:
@@ -70,11 +77,13 @@ def is_p_odd(lam: Partition, p: int) -> bool:
     return nz % 2 == 1
 
 
-def ladder_positions(l: int, p: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def ladder_positions(l: int, p: int) -> tuple[tuple[int, int], ...]:
     """All positions of ladder l in the quarter plane, by ascending column.
 
     Within a ladder the column increases as the row decreases, so this
-    order runs from the bottom-left end upwards.
+    order runs from the bottom-left end upwards.  Memoised without a
+    bound: the ladders of partitions of n are the few dozen l <= (p-1)*n.
     """
     out = []
     r_max = l // (p - 1) + 1
@@ -90,7 +99,7 @@ def ladder_positions(l: int, p: int) -> list[tuple[int, int]]:
             if c >= 1:
                 out.append((r, c))
             c += 1
-    return out
+    return tuple(out)
 
 
 def ladder_profile(lam: Partition, p: int) -> dict[int, int]:
@@ -100,11 +109,14 @@ def ladder_profile(lam: Partition, p: int) -> dict[int, int]:
     return dict(counts)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def regularize(lam: Partition, p: int) -> Partition:
     """Slide all nodes to the leftmost free positions of their ladders.
 
     The input must be p-strict; the output is restricted p-strict and
-    has the same number of nodes in every ladder.
+    has the same number of nodes in every ladder.  Memoised on the last
+    ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
+    input that raises is never stored.
     """
     if not is_p_strict(lam, p):
         raise PartitionError(f"{lam} is not {p}-strict")
@@ -116,9 +128,10 @@ def regularize(lam: Partition, p: int) -> Partition:
             row_cells[r] += 1
             cells.add((r, c))
     out = tuple(row_cells[r] for r in range(1, max(row_cells, default=0) + 1))
-    # the filled positions must tile initial row segments
-    assert all((r, c) in cells for r, a in enumerate(out, start=1) for c in range(1, a + 1))
-    assert is_restricted(out, p), (lam, out)
+    if not all((r, c) in cells for r, a in enumerate(out, start=1) for c in range(1, a + 1)):
+        raise RuntimeError(f"regularisation of {lam} at p={p} does not fill initial row segments")
+    if not is_restricted(out, p):
+        raise RuntimeError(f"regularisation {out} of {lam} is not restricted {p}-strict")
     return out
 
 

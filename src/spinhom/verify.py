@@ -22,8 +22,8 @@ alone; these checks stop at a fixed cap whatever ``max_n`` asks for:
   n <= 25, the module list n <= 20.
 
 The sigma/tau chains, block closed forms and patterned tableaux use fixed
-ranges; the degree families and staircase witnesses (l <= 8) follow
-``max_l``.
+ranges and run at p = 3 only; the degree families and staircase
+witnesses (l <= 8) follow ``max_l``.
 
 Suites fan out over partitions with a process pool when ``threads`` is
 above one; rows are merged back in submission order, so output is
@@ -323,12 +323,13 @@ def suite_tableaux(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[
                     for t in tabs
                 )
                 rows.append(_holds(name, "residue_word_content", "", words_ok))
-    for l in (3, 4):
-        nu = tuple(range(3 * l - 2, 0, -3))
-        for d in range(1, min(l, 3) + 1):
-            lam = scaled_add(nu, 3, (1,) * d)
-            tab = tableaux.find_patterned_tableau(lam, nu, 3)
-            rows.append(_holds(format_partition(lam), "patterned_tableau", f"l={l},d={d}", tab is not None))
+    if p == 3:
+        for l in (3, 4):
+            nu = tuple(range(3 * l - 2, 0, -3))
+            for d in range(1, min(l, 3) + 1):
+                lam = scaled_add(nu, 3, (1,) * d)
+                tab = tableaux.find_patterned_tableau(lam, nu, 3)
+                rows.append(_holds(format_partition(lam), "patterned_tableau", f"l={l},d={d}", tab is not None))
     return rows
 
 

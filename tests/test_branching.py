@@ -107,9 +107,48 @@ def test_boundary_examples():
     adds, rems = boundary_nodes((9, 5, 4, 2), 0, 3, "strict")
     assert len(adds) == 5 and len(rems) == 2
     adds, rems = boundary_nodes((), 0, 3, "pstrict")
-    assert adds == [(1, 1)] and rems == []
+    assert adds == ((1, 1),) and rems == ()
     adds, rems = boundary_nodes((), 1, 3, "pstrict")
-    assert adds == [] and rems == []
+    assert adds == () and rems == ()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_boundary_nodes_memo_is_transparent(p):
+    # cold (cleared memo), warm (the same call again) and unmemoised agree
+    for n in range(15):
+        for lam in p_strict_partitions_of(n, p):
+            for mode in ("strict", "pstrict"):
+                if mode == "strict" and not is_strict(lam):
+                    continue
+                for i in range((p - 1) // 2 + 1):
+                    boundary_nodes.cache_clear()
+                    cold = boundary_nodes(lam, i, p, mode)
+                    warm = boundary_nodes(lam, i, p, mode)
+                    assert warm is cold and boundary_nodes.cache_info().hits == 1
+                    assert cold == boundary_nodes.__wrapped__(lam, i, p, mode), (lam, i, mode)
+                    assert all(isinstance(nodes, tuple) for nodes in cold)
+
+
+def test_boundary_nodes_never_stores_a_failure():
+    boundary_nodes.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PartitionError):
+            boundary_nodes((2, 2), 0, 3, "pstrict")
+        with pytest.raises(PartitionError):
+            boundary_nodes((3, 3), 0, 3, "strict")
+        with pytest.raises(PartitionError):
+            boundary_nodes((2, 1), 2, 3, "pstrict")
+    assert boundary_nodes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("op,mu", [(tilde_e, (1,)), (tilde_f, ())])
+def test_output_guards_raise_runtime_error(monkeypatch, op, mu):
+    # the input passes the restricted check, the output is made to fail it
+    import spinhom.branching as branching
+
+    monkeypatch.setattr(branching, "is_restricted", lambda lam, p: lam == mu)
+    with pytest.raises(RuntimeError, match="not restricted 3-strict"):
+        op(mu, 0, 3)
 
 
 def test_signature_example():

@@ -1,6 +1,7 @@
 import pytest
 
-from spinhom.branching import extremal, phi_hat
+from spinhom import dimensions
+from spinhom.branching import boundary_nodes, extremal, phi_hat
 from spinhom.classify import (
     CONJ_HOM,
     CONJ_NOT,
@@ -16,6 +17,7 @@ from spinhom.classify import (
     homogeneity_obstruction,
     special_decompose,
 )
+from spinhom.ladders import ladder_positions, regularize
 from spinhom.partitions import PartitionError, parity_stats, scaled_add, strict_partitions_of
 from spinhom.verify import matches_module_list
 
@@ -151,3 +153,17 @@ def test_module_list_membership():
     assert matches_module_list((5, 3, 2, 1), "sn")
     assert matches_module_list((8, 5, 3, 2, 1), "an")
     assert not matches_module_list((8, 5, 3, 2, 1), "sn")
+
+
+def test_obstruction_same_with_cold_and_warm_memos():
+    memos = (boundary_nodes, regularize, ladder_positions, dimensions._ranked_fibre)
+    lams = [lam for n in range(23) for lam in strict_partitions_of(n)]
+    cold = []
+    for lam in lams:
+        for memo in memos:
+            memo.cache_clear()
+        cold.append(homogeneity_obstruction(lam))
+    warm = [homogeneity_obstruction(lam) for lam in lams]
+    assert warm == cold
+    assert [homogeneity_obstruction(lam) for lam in reversed(lams)] == cold[::-1]
+    assert boundary_nodes.cache_info().hits and regularize.cache_info().hits

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinhom
 from spinhom import verify
 from spinhom.cli import main
 
@@ -194,6 +199,34 @@ def test_verify_all_runs_the_suites_defined_at_p(capsys):
     assert code == 0
     headers = [line.split(":")[0] for line in out.splitlines() if line.startswith("#")]
     assert headers == [f"# suite {name}" for name in verify.SUITES]
+
+
+def test_verify_tableaux_patterned_rows_at_p3_only(capsys):
+    def rows(*argv):
+        code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", *argv)
+        assert code == 0
+        return [line for line in out.splitlines() if not line.startswith("#")]
+
+    at5, at3 = rows("--p", "5"), rows()
+    patterned = [line for line in at3 if line.split("\t")[1] == "patterned_tableau"]
+    assert patterned == [
+        f"{lam}\tpatterned_tableau\t{detail}\tTrue\tTrue\tok"
+        for lam, detail in [
+            ("10,4,1", "l=3,d=1"), ("10,7,1", "l=3,d=2"), ("10,7,4", "l=3,d=3"),
+            ("13,7,4,1", "l=4,d=1"), ("13,10,4,1", "l=4,d=2"), ("13,10,7,1", "l=4,d=3"),
+        ]
+    ]
+    assert at5 and at5 == [line for line in at3 if line not in patterned]
+
+
+def test_verify_output_guards_hold_under_python_O():
+    # the output checks are raises, not asserts, so -O runs them and prints the same rows
+    env = dict(os.environ, PYTHONPATH=str(Path(spinhom.__file__).resolve().parents[1]))
+    argv = ["-m", "spinhom.cli", "verify", "--suite", "branching", "--max-n", "8"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+    optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=120)
+    assert plain.returncode == 0 and optimised.returncode == 0
+    assert plain.stdout and optimised.stdout == plain.stdout
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

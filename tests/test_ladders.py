@@ -55,6 +55,19 @@ def test_ladder_positions_ascending():
             cols = [c for _, c in pos]
             assert cols == sorted(cols)
             assert all(ladder_index(r, c, p) == l for r, c in pos)
+            # memoised: one shared tuple, equal to a fresh computation
+            assert isinstance(pos, tuple) and ladder_positions(l, p) is pos
+            assert pos == ladder_positions.__wrapped__(l, p)
+
+
+def test_regularize_never_stores_a_failure():
+    regularize.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PartitionError):
+            regularize((2, 2), 3)
+    assert regularize.cache_info().currsize == 0
+    assert regularize((3, 3), 3) == regularize.__wrapped__((3, 3), 3) == regularize((3, 3), 3)
+    assert regularize.cache_info().hits == 1
 
 
 def test_content():
