@@ -50,14 +50,16 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
         rest = list(lam)
         rest[r - 1] = a - p
         result = tuple(sorted((x for x in rest if x > 0), reverse=True))
-        assert is_p_strict(result, p)
+        if not is_p_strict(result, p):
+            raise RuntimeError(f"lowering part {a} of {lam} by {p} gives {result}, not {p}-strict")
         out.append(BarRemoval("decrease", (r,), result))
     for r in range(len(lam)):
         for s in range(r + 1, len(lam)):
             if lam[r] + lam[s] == p:
                 rest = [x for k, x in enumerate(lam) if k not in (r, s)]
                 result = tuple(rest)
-                assert is_p_strict(result, p)
+                if not is_p_strict(result, p):
+                    raise RuntimeError(f"deleting parts {lam[r]}, {lam[s]} of {lam} gives {result}, not {p}-strict")
                 out.append(BarRemoval("delete_pair", (r + 1, s + 1), result))
     return out
 
@@ -78,7 +80,8 @@ def bar_core(lam: Partition, p: int) -> BarCoreResult:
             break
         current = moves[0].result
         weight += 1
-    assert sum(lam) == sum(current) + p * weight
+    if sum(lam) != sum(current) + p * weight:
+        raise RuntimeError(f"bar core {current} of weight {weight} does not account for {lam} at p={p}")
     return BarCoreResult(current, weight)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .barcores import bar_removals
-from .branching import eps_hat, eps_i, extremal, ladder_obstruction, normal_extremal
+from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
 from .dimensions import degree_witness
 from .ladders import regularize
 from .partitions import (
@@ -81,7 +81,8 @@ def special_decompose(lam: Partition) -> SpecialDecomposition | None:
     core = tuple(3 * (l - r - 1) + i for r in range(l))
     alpha = tuple((lam[r] - core[r]) // 3 for r in range(l))
     alpha = tuple(a for a in alpha if a > 0)
-    assert all((lam[r] - core[r]) % 3 == 0 and lam[r] >= core[r] for r in range(l))
+    if not all((lam[r] - core[r]) % 3 == 0 and lam[r] >= core[r] for r in range(l)):
+        raise RuntimeError(f"{lam} is not its 3-core {core} plus three times a partition")
     return SpecialDecomposition(core, alpha, i)
 
 
@@ -193,10 +194,10 @@ def homogeneity_obstruction(lam: Partition, p: int = 3) -> Certificate | None:
     for i in range((p - 1) // 2 + 1):
         if ladder_obstruction(lam, i, p):
             return Certificate("Obstruction_certificate", residue=i)
-        if eps_hat(lam, i, p) != eps_i(reg, i, p):
+        down = extremal(lam, i, p, "down")
+        if down.count != eps_i(reg, i, p):
             return Certificate("Eps_mismatch", residue=i)
-        down = extremal(lam, i, p, "down").result
-        if regularize(down, p) != normal_extremal(reg, i, p, "down"):
+        if regularize(down.result, p) != normal_extremal(reg, i, p, "down"):
             return Certificate("Restriction_mismatch", residue=i)
     witness = degree_witness(lam, p)
     if witness is not None:

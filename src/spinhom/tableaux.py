@@ -173,6 +173,7 @@ def find_patterned_tableau(
 
         if rec(n_pre + 1):
             tab = ShiftedTableau(tuple(tuple(row) for row in rows))
-            assert tab.is_standard() and tab.shape == lam
+            if not (tab.is_standard() and tab.shape == lam):
+                raise RuntimeError(f"patterned filling {tab.rows} of {lam} is not a standard shifted tableau")
             return tab
     return None

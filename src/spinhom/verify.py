@@ -342,14 +342,16 @@ def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
     max_d = min(max_n, 8)
     for n in range(max_d + 1):
         for nu in partitions_of(n):
+            nu_c = conjugate(nu)
             for a in range(n + 1):
                 for alpha in partitions_of(a):
+                    alpha_c = conjugate(alpha)
                     for beta in partitions_of(n - a):
                         x = wreath.lr2(alpha, beta, nu)
                         y = wreath.lr2(beta, alpha, nu)
                         if x != y:
                             rows.append(_row(format_partition(nu), "lr2_symmetry", f"{alpha}|{beta}", x, y, False))
-                        z = wreath.lr2(conjugate(alpha), conjugate(beta), conjugate(nu))
+                        z = wreath.lr2(alpha_c, conjugate(beta), nu_c)
                         if x != z:
                             rows.append(_row(format_partition(nu), "lr2_conjugation", f"{alpha}|{beta}", x, z, False))
         rows.append(_row(f"|nu|={n}", "lr2_symmetry_conjugation", "", "all", "all", True))

@@ -9,9 +9,13 @@ diagonal Cartan invariant of the rank-d wreath model is
                 lr3(alpha, beta, gamma; nu) * lr3(alpha, beta', gamma; pi),
 
 whose diagonal equals 2d+1 exactly for the row and the column shape and
-exceeds it otherwise.  The characteristic-3 analogue conjugates by an
-ingested decomposition matrix: matrices are read from a small text
-format, never computed.
+exceeds it otherwise.  Each label's row of non-zero ``lr3`` values is
+computed once per process and memoised, and c(nu, pi) is a sparse dot
+product of two rows.  ``lr2``, the partition lists and their conjugates
+are memoised too; ``lr3`` is not, as each row asks for each of its
+values once.  The characteristic-3 analogue conjugates by an ingested
+decomposition matrix: matrices are read from a small text format, never
+computed.
 """
 
 from __future__ import annotations
@@ -73,13 +77,20 @@ def _skew_ok(nu: Partition, alpha: Partition) -> bool:
     return len(alpha) <= len(nu) and all(alpha[r] <= nu[r] for r in range(len(alpha)))
 
 
+_conjugate = lru_cache(maxsize=None)(conjugate)
+
+
 @lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(partitions_of(n))
+
+
 def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> int:
     """Three-factor coefficient via associativity of the two-factor one."""
     if sum(alpha) + sum(beta) + sum(gamma) != sum(nu):
         return 0
     total = 0
-    for sigma in partitions_of(sum(alpha) + sum(beta)):
+    for sigma in _partitions(sum(alpha) + sum(beta)):
         left = lr2(alpha, beta, sigma)
         if left:
             total += left * lr2(sigma, gamma, nu)
@@ -91,22 +102,34 @@ class CartanValue:
     value: int
 
 
-def wreath_cartan0(nu: Partition, pi: Partition) -> CartanValue:
-    """Characteristic-zero composition multiplicity c(nu, pi)."""
+@lru_cache(maxsize=None)
+def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]:
+    """The non-zero lr3(alpha, beta, gamma; nu), keyed by (alpha, beta, gamma)."""
     d = sum(nu)
-    if sum(pi) != d:
-        raise PartitionError("both labels must have the same size")
-    total = 0
+    row = {}
     for a in range(d + 1):
         for b in range(d - a + 1):
-            c = d - a - b
-            for beta in partitions_of(b):
-                beta_c = conjugate(beta)
-                for alpha in partitions_of(a):
-                    for gamma in partitions_of(c):
-                        left = lr3(alpha, beta, gamma, nu)
-                        if left:
-                            total += left * lr3(alpha, beta_c, gamma, pi)
+            for alpha in _partitions(a):
+                for beta in _partitions(b):
+                    for gamma in _partitions(d - a - b):
+                        v = lr3(alpha, beta, gamma, nu)
+                        if v:
+                            row[(alpha, beta, gamma)] = v
+    return row
+
+
+def wreath_cartan0(nu: Partition, pi: Partition) -> CartanValue:
+    """Characteristic-zero composition multiplicity c(nu, pi).
+
+    A dot product of the memoised lr3 rows of nu and pi, over the
+    non-zero entries of nu's row, with the middle factor conjugated.
+    """
+    if sum(pi) != sum(nu):
+        raise PartitionError("both labels must have the same size")
+    other = _lr3_row(pi)
+    total = 0
+    for (alpha, beta, gamma), v in _lr3_row(nu).items():
+        total += v * other.get((alpha, _conjugate(beta), gamma), 0)
     return CartanValue(total)
 
 
@@ -204,7 +227,7 @@ def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> CartanValue:
     """
     if mu not in matrix.columns:
         raise PartitionError(f"{format_partition(mu)} is not a column of the matrix")
-    rows = [nu for nu in partitions_of(matrix.d) if matrix.mult(nu, mu)]
+    rows = [nu for nu in _partitions(matrix.d) if matrix.mult(nu, mu)]
     total = 0
     for nu in rows:
         for pi in rows:

@@ -23,6 +23,26 @@ from spinhom.partitions import (
 )
 
 
+@pytest.mark.parametrize("lam", [(4,), (2, 1)])
+def test_bar_removal_guard_raises_runtime_error(monkeypatch, lam):
+    # the input passes the p-strict check, the lowered or pair-deleted result is made to fail it
+    import spinhom.barcores as barcores
+
+    monkeypatch.setattr(barcores, "is_p_strict", lambda mu, p: mu == lam)
+    with pytest.raises(RuntimeError, match="not 3-strict"):
+        bar_removals(lam, 3)
+
+
+def test_bar_core_guard_raises_runtime_error(monkeypatch):
+    # a removal that drops four nodes instead of three breaks the size count
+    import spinhom.barcores as barcores
+
+    moves = {(5,): [barcores.BarRemoval("decrease", (1,), (1,))], (1,): []}
+    monkeypatch.setattr(barcores, "bar_removals", lambda lam, p: moves[lam])
+    with pytest.raises(RuntimeError, match="does not account"):
+        bar_core((5,), 3)
+
+
 def test_bar_removals_examples():
     assert bar_removals((4, 1), 3) == []
     assert [(m.kind, m.result) for m in bar_removals((3,), 3)] == [("decrease", ())]

@@ -34,6 +34,12 @@ def test_special_decompose():
     assert scaled_add(dec.core, 3, dec.alpha) == (11, 5, 2)
 
 
+def test_special_decompose_guard_raises_runtime_error():
+    # a strict input always decomposes; (1, 1) shares a residue but sits below its core (4, 1)
+    with pytest.raises(RuntimeError, match="3-core"):
+        special_decompose((1, 1))
+
+
 def test_carter3():
     assert carter3(())
     assert carter3((7,))

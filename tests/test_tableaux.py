@@ -73,6 +73,13 @@ def test_patterned_tableau_full_prefix():
     assert tab is not None and tab.shape == (4, 3, 1)
 
 
+def test_patterned_tableau_guard_raises_runtime_error(monkeypatch):
+    # the search finds a filling, which is then made to fail the standardness check
+    monkeypatch.setattr(ShiftedTableau, "is_standard", lambda self: False)
+    with pytest.raises(RuntimeError, match="not a standard shifted tableau"):
+        find_patterned_tableau((4, 3, 1), (4, 3, 1), 3)
+
+
 def test_patterned_tableau_malformed_region():
     with pytest.raises(PartitionError):
         find_patterned_tableau((5, 3, 1), (4, 3, 1), 3)

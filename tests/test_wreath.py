@@ -7,8 +7,10 @@ from itertools import product
 
 import pytest
 
-from spinhom.partitions import PartitionError, partitions_of
+from spinhom.partitions import PartitionError, conjugate, partitions_of
 from spinhom.wreath import (
+    _lr3_row,
+    _partitions,
     bundled_decomp_matrix,
     is_p_regular,
     lr2,
@@ -125,12 +127,40 @@ def test_lr_frozen_values():
             assert lr3((a,) if a else (), (b,) if b else (), (3 - a - b,) if 3 - a - b else (), (3,)) == 1
 
 
-def test_memoisation_contract():
+def _clear_wreath_memos():
     lr2.cache_clear()
-    lr3.cache_clear()
+    _lr3_row.cache_clear()
+    _partitions.cache_clear()
+
+
+def test_memoisation_contract():
+    _clear_wreath_memos()
     cold = wreath_cartan0((2, 1), (2, 1)).value
     warm = wreath_cartan0((2, 1), (2, 1)).value
     assert cold == warm == 19
+
+
+def _cartan0_by_triple_sum(nu, pi):
+    """c(nu, pi) summed over every triple, straight from lr3."""
+    d = sum(nu)
+    total = 0
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            for alpha in partitions_of(a):
+                for beta in partitions_of(b):
+                    for gamma in partitions_of(d - a - b):
+                        total += lr3(alpha, beta, gamma, nu) * lr3(alpha, conjugate(beta), gamma, pi)
+    return total
+
+
+def test_cartan0_matches_reference_triple_sum():
+    pairs = [(nu, pi) for d in range(6) for nu in partitions_of(d) for pi in partitions_of(d)]
+    pairs += [(nu, nu) for d in (6, 7) for nu in partitions_of(d)]
+    expected = {pair: _cartan0_by_triple_sum(*pair) for pair in pairs}
+    _clear_wreath_memos()
+    cold = {pair: wreath_cartan0(*pair).value for pair in pairs}
+    warm = {pair: wreath_cartan0(*pair).value for pair in pairs}
+    assert cold == warm == expected
 
 
 def test_cartan0_values():
