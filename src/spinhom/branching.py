@@ -13,9 +13,16 @@ differ, and the difference drives everything downstream.
 
 Because same-residue columns come in runs of length at most two, a
 joint addition/removal touches each row in at most two cells, and its
-per-row amounts are constrained only between consecutive rows.  Nodes
-are therefore classified by a small feasibility sweep over per-row
-choices rather than by any closed-form rule.
+per-row amounts are constrained only between consecutive rows: an upper
+row a and a lower row b must have a > b, or a == b where the mode allows
+equal rows.  That constraint is monotone (it keeps holding as a grows
+or b shrinks), and leaving a row unchanged is always consistent with
+its neighbours because lam itself is valid.  So a growing row can only
+clash with the row above it, which clashes least when grown as far as
+it can go; one pass down the rows, carrying that farthest length,
+decides every row, and shrinking is the mirror image, one pass up.
+Each row's feasible amounts form a range from 0, and its boundary
+nodes are the cells up to the farthest one.
 
 On restricted p-strict partitions the i-signature (boundary nodes read
 by increasing column, "+" for addable, "-" for removable) reduces by
@@ -57,96 +64,65 @@ def _check_mode(lam: Partition, p: int, mode: str) -> None:
         raise PartitionError(f"unknown mode {mode!r}")
 
 
-def _pair_ok(a: int, b: int, p: int, mode: str) -> bool:
-    # consecutive result rows a >= b with equality allowed per the mode
-    if a < b:
-        return False
-    if a > b:
-        return True
-    return a == 0 if mode == STRICT else a % p == 0
-
-
-def _feasible_levels(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[set[int]]:
-    """Per-row joint-change amounts that occur in some valid i-node move.
+def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
+    """Per row, the farthest signed change occurring in a valid joint i-move.
 
     direction +1 grows rows (one phantom row below), -1 shrinks them.
-    Row r may change by 0, 1 or 2 cells; the changed cells must all be
-    i-nodes, and the changed shape must be a valid partition of the
-    mode's class.  Returns, per row, the set of amounts e_r realised by
-    at least one globally valid assignment.
+    Row r may change by 0, 1 or 2 cells, all of them i-nodes, and the
+    changed shape must be a partition of the mode's class.  Entry r-1 is
+    the largest e_r (smallest, when shrinking) realised by at least one
+    valid joint move; every amount between 0 and it is realised too.
+    One pass decides every row (see the module docstring): down the rows
+    when growing, carrying the farthest length the row above can reach,
+    and up them when shrinking, carrying the shortest length of the row
+    below.
     """
-    n_rows = len(lam) + (1 if direction > 0 else 0)
-    if n_rows == 0:
-        return []
-    options: list[list[int]] = []
-    for r in range(1, n_rows + 1):
-        base = lam[r - 1] if r <= len(lam) else 0
-        opts = [0]
-        if direction > 0:
-            for j in (1, 2):
-                if residue(r, base + j, p) != i:
+    rows = list(lam) + [0] if direction > 0 else list(lam)
+    reach = [0] * len(rows)
+    order = range(len(rows)) if direction > 0 else range(len(rows) - 1, -1, -1)
+    carried = None  # farthest reachable length of the row decided last
+    for k in order:
+        base = rows[k]
+        for j in (1, 2):
+            c = base + j if direction > 0 else base - j + 1
+            if c < 1 or residue(k + 1, c, p) != i:
+                break
+            if carried is not None:
+                # upper row a, lower row b: a == b only as the mode allows
+                a, b = (carried, base + j) if direction > 0 else (base - j, carried)
+                if a < b or a == b and (a % p if mode == PSTRICT else a):
                     break
-                opts.append(j)
-        else:
-            for j in (1, 2):
-                c = base - j + 1
-                if c < 1 or residue(r, c, p) != i:
-                    break
-                opts.append(-j)
-        options.append(opts)
-
-    def result(r: int, e: int) -> int:
-        base = lam[r - 1] if r <= len(lam) else 0
-        return base + e
-
-    # forward[r] / backward[r]: options of row r+1 consistent with some
-    # prefix / suffix assignment
-    forward: list[set[int]] = [set(options[0])]
-    for r in range(1, n_rows):
-        ok = {
-            e
-            for e in options[r]
-            if any(_pair_ok(result(r, f), result(r + 1, e), p, mode) for f in forward[r - 1])
-        }
-        forward.append(ok)
-    backward: list[set[int]] = [set()] * n_rows
-    backward[n_rows - 1] = set(options[n_rows - 1])
-    for r in range(n_rows - 2, -1, -1):
-        backward[r] = {
-            e
-            for e in options[r]
-            if any(_pair_ok(result(r + 1, e), result(r + 2, b), p, mode) for b in backward[r + 1])
-        }
-    return [forward[r] & backward[r] for r in range(n_rows)]
+            reach[k] = direction * j
+        carried = base + reach[k]
+    return reach
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     """Addable and removable i-nodes of lam in the given sense.
 
-    Both tuples come back ordered by increasing column; across the two
-    all columns are distinct (checked), which is what makes the
-    signature reading order well defined.  Memoised on the last
-    ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
-    input that raises is never stored.
+    The nodes of row r are the cells between lam_r and lam_r + e_r, for
+    e_r the row's entry of ``_reach`` in each direction.  Both tuples
+    come back ordered by increasing column; across the two all columns
+    are distinct (checked), which is what makes the signature reading
+    order well defined.  Memoised on the last ``_MEMO_SIZE`` (64)
+    arguments; every check runs on each miss, and an input that raises
+    is never stored.
     """
     _check_mode(lam, p, mode)
     if not 0 <= i <= (p - 1) // 2:
         raise PartitionError(f"residue {i} out of range for p={p}")
-    add_levels = _feasible_levels(lam, i, p, mode, +1)
-    rem_levels = _feasible_levels(lam, i, p, mode, -1)
-    addables: list[Node] = []
-    removables: list[Node] = []
-    for r, levels in enumerate(add_levels, start=1):
-        base = lam[r - 1] if r <= len(lam) else 0
-        top = max(levels, default=0)
-        for j in range(1, top + 1):
-            addables.append((r, base + j))
-    for r, levels in enumerate(rem_levels, start=1):
-        base = lam[r - 1]
-        depth = -min(levels, default=0)
-        for j in range(1, depth + 1):
-            removables.append((r, base - j + 1))
+    rows = lam + (0,)
+    addables = [
+        (r, rows[r - 1] + j)
+        for r, top in enumerate(_reach(lam, i, p, mode, +1), start=1)
+        for j in range(1, top + 1)
+    ]
+    removables = [
+        (r, lam[r - 1] - j + 1)
+        for r, depth in enumerate(_reach(lam, i, p, mode, -1), start=1)
+        for j in range(1, 1 - depth)
+    ]
     addables.sort(key=lambda rc: rc[1])
     removables.sort(key=lambda rc: rc[1])
     cols = [c for _, c in addables] + [c for _, c in removables]
@@ -176,8 +152,13 @@ class SignatureReport:
         return len(self.conormals)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def signature(mu: Partition, i: int, p: int) -> SignatureReport:
-    """The i-signature of a restricted p-strict partition."""
+    """The i-signature of a restricted p-strict partition.
+
+    Memoised like ``boundary_nodes``: ``eps_i``, ``normal_extremal`` and
+    the tilde operators read the same signature in turn.
+    """
     if not is_restricted(mu, p):
         raise PartitionError(f"{mu} is not restricted {p}-strict")
     adds, rems = boundary_nodes(mu, i, p, PSTRICT)

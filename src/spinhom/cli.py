@@ -109,14 +109,21 @@ def cmd_cartan(args) -> int:
     if args.char3:
         if args.decomp is None or args.mu is None:
             raise PartitionError("--char3 needs --decomp FILE and --mu")
+        if args.nu is not None or args.pi is not None:
+            raise PartitionError("--nu and --pi do not apply with --char3")
         matrix = wreath.load_decomp_matrix(args.decomp)
         if matrix.d != args.d:
             raise PartitionError(f"matrix has degree {matrix.d}, expected {args.d}")
         value = wreath.wreath_cartan_p(parse_partition(args.mu), matrix).value
         _emit({"value": value, "threshold": 2 * args.d + 1})
         return 0
+    if args.decomp is not None or args.mu is not None:
+        raise PartitionError("--decomp and --mu need --char3")
     nu = parse_partition(args.nu) if args.nu else (args.d,)
     pi = parse_partition(args.pi) if args.pi else nu
+    for flag, label in (("--nu", nu), ("--pi", pi)):
+        if sum(label) != args.d:
+            raise PartitionError(f"{flag} {format_partition(label)} has size {sum(label)}, expected {args.d}")
     _emit({"value": wreath.wreath_cartan0(nu, pi).value, "threshold": 2 * args.d + 1})
     return 0
 

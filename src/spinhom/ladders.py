@@ -32,10 +32,11 @@ from .partitions import (
     part,
 )
 
-# Entries kept by the memos of ``regularize`` and ``branching.boundary_nodes``.
-# The residue checks of one partition and the signatures of its
-# regularisation reuse a handful of recent entries; an unbounded memo keeps
-# every partition ever seen and grows the resident set for little gain.
+# Entries kept by the memos of ``regularize``, ``branching.boundary_nodes``
+# and ``branching.signature``.  The residue checks of one partition and the
+# signatures of its regularisation reuse a handful of recent entries; an
+# unbounded memo keeps every partition ever seen and grows the resident set
+# for little gain.
 _MEMO_SIZE = 64
 
 

@@ -100,6 +100,56 @@ def test_boundary_nodes_match_oracle(p, max_n):
                     assert set(rems) == want_rem, (lam, i, mode)
 
 
+def _setbased_boundary(lam, i, p, mode):
+    """Reference: the set-based forward/backward sweep over per-row
+    amounts that boundary_nodes replaced by one carried bound per pass."""
+
+    def pair_ok(a, b):
+        return a > b or a == b and (a % p == 0 if mode == "pstrict" else a == 0)
+
+    def levels(direction):
+        bases = list(lam) + [0] if direction > 0 else list(lam)
+        options = []
+        for r, base in enumerate(bases, 1):
+            opts = [0]
+            for j in (1, 2):
+                c = base + j if direction > 0 else base - j + 1
+                if c < 1 or residue(r, c, p) != i:
+                    break
+                opts.append(direction * j)
+            options.append(opts)
+        m = len(bases)
+        forward = [set(options[0])] if m else []
+        for r in range(1, m):
+            forward.append(
+                {e for e in options[r] if any(pair_ok(bases[r - 1] + f, bases[r] + e) for f in forward[r - 1])}
+            )
+        backward = [set() for _ in range(m)]
+        if m:
+            backward[-1] = set(options[-1])
+        for r in range(m - 2, -1, -1):
+            backward[r] = {
+                e for e in options[r] if any(pair_ok(bases[r] + e, bases[r + 1] + b) for b in backward[r + 1])
+            }
+        return [(base, forward[r] & backward[r]) for r, base in enumerate(bases)]
+
+    adds = [(r, base + j) for r, (base, lv) in enumerate(levels(+1), 1) for j in range(1, max(lv) + 1)]
+    rems = [(r, base - j + 1) for r, (base, lv) in enumerate(levels(-1), 1) for j in range(1, 1 - min(lv))]
+    return tuple(sorted(adds, key=lambda rc: rc[1])), tuple(sorted(rems, key=lambda rc: rc[1]))
+
+
+@pytest.mark.parametrize("p,max_n", [(3, 24), (5, 18), (7, 14)])
+def test_boundary_nodes_match_setbased_sweep(p, max_n):
+    for n in range(max_n + 1):
+        for lam in p_strict_partitions_of(n, p):
+            for mode in ("strict", "pstrict"):
+                if mode == "strict" and not is_strict(lam):
+                    continue
+                for i in range((p - 1) // 2 + 1):
+                    got = boundary_nodes.__wrapped__(lam, i, p, mode)
+                    assert got == _setbased_boundary(lam, i, p, mode), (lam, i, mode)
+
+
 def test_boundary_examples():
     adds, rems = boundary_nodes((5, 4, 3, 2, 1), 0, 3, "pstrict")
     assert set(adds) == {(1, 6), (1, 7), (4, 3)}
@@ -127,6 +177,33 @@ def test_boundary_nodes_memo_is_transparent(p):
                     assert warm is cold and boundary_nodes.cache_info().hits == 1
                     assert cold == boundary_nodes.__wrapped__(lam, i, p, mode), (lam, i, mode)
                     assert all(isinstance(nodes, tuple) for nodes in cold)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_signature_memo_is_transparent(p):
+    # cold (cleared memo), warm (the same call again) and unmemoised agree
+    for n in range(15):
+        for mu in p_strict_partitions_of(n, p):
+            if not is_restricted(mu, p):
+                continue
+            for i in range((p - 1) // 2 + 1):
+                signature.cache_clear()
+                cold = signature(mu, i, p)
+                warm = signature(mu, i, p)
+                assert warm is cold and signature.cache_info().hits == 1
+                assert cold == signature.__wrapped__(mu, i, p), (mu, i)
+
+
+def test_signature_never_stores_a_failure():
+    signature.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PartitionError):
+            signature((5,), 0, 3)  # 3-strict but not restricted
+        with pytest.raises(PartitionError):
+            signature((2, 2), 0, 3)  # not 3-strict
+        with pytest.raises(PartitionError):
+            signature((2, 1), 2, 3)  # residue out of range
+    assert signature.cache_info().currsize == 0
 
 
 def test_boundary_nodes_never_stores_a_failure():

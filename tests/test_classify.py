@@ -1,7 +1,7 @@
 import pytest
 
 from spinhom import dimensions
-from spinhom.branching import boundary_nodes, extremal, phi_hat
+from spinhom.branching import boundary_nodes, extremal, phi_hat, signature
 from spinhom.classify import (
     CONJ_HOM,
     CONJ_NOT,
@@ -162,7 +162,7 @@ def test_module_list_membership():
 
 
 def test_obstruction_same_with_cold_and_warm_memos():
-    memos = (boundary_nodes, regularize, ladder_positions, dimensions._ranked_fibre)
+    memos = (boundary_nodes, signature, regularize, ladder_positions, dimensions._ranked_fibre)
     lams = [lam for n in range(23) for lam in strict_partitions_of(n)]
     cold = []
     for lam in lams:
@@ -173,3 +173,4 @@ def test_obstruction_same_with_cold_and_warm_memos():
     assert warm == cold
     assert [homogeneity_obstruction(lam) for lam in reversed(lams)] == cold[::-1]
     assert boundary_nodes.cache_info().hits and regularize.cache_info().hits
+    assert signature.cache_info().hits

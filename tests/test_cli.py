@@ -150,6 +150,36 @@ def test_cartan_degree_below_one(capsys, d):
         assert captured.err == f"error: --d must be at least 1, got {d}\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--d", "5", "--nu", "2,1"], "--nu 2,1 has size 3, expected 5"),
+        (["--d", "3", "--pi", "2,1,1"], "--pi 2,1,1 has size 4, expected 3"),
+        (["--d", "3", "--nu", "2,1", "--pi", "4"], "--pi 4 has size 4, expected 3"),
+    ],
+)
+def test_cartan_labels_must_have_size_d(capsys, extra, message):
+    assert main(["cartan"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cartan_char3_options_need_char3(capsys, tmp_path):
+    path = tmp_path / "s3.txt"
+    path.write_text("p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n")
+    for extra in (["--decomp", str(path), "--mu", "3"], ["--decomp", str(path)], ["--mu", "3"]):
+        assert main(["cartan", "--d", "3"] + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --decomp and --mu need --char3\n"
+    for extra in (["--nu", "3"], ["--pi", "2,1"]):
+        assert main(["cartan", "--d", "3", "--char3", "--decomp", str(path), "--mu", "3"] + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --nu and --pi do not apply with --char3\n"
+
+
 def test_enumerate_negative_n(capsys):
     assert main(["enumerate", "--n", "-3"]) == 1
     captured = capsys.readouterr()
@@ -222,7 +252,7 @@ def test_verify_tableaux_patterned_rows_at_p3_only(capsys):
 def test_verify_output_guards_hold_under_python_O():
     # the output checks are raises, not asserts, so -O runs them and prints the same rows
     env = dict(os.environ, PYTHONPATH=str(Path(spinhom.__file__).resolve().parents[1]))
-    for suite, max_n in (("branching", "8"), ("blocks", "8"), ("wreath", "5")):
+    for suite, max_n in (("branching", "8"), ("blocks", "8"), ("wreath", "5"), ("ladders", "8")):
         argv = ["-m", "spinhom.cli", "verify", "--suite", suite, "--max-n", max_n]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
         optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=120)
