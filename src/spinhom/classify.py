@@ -228,7 +228,7 @@ def _label_names(lam: Partition, context: str) -> tuple[str, ...]:
     raise PartitionError(f"unknown context {context!r}")
 
 
-def classify_irreducible(lam: Partition, context: str, p: int = 3) -> IrredVerdict:
+def classify_irreducible(lam: Partition, context: str) -> IrredVerdict:
     """Irreducibility of the modules labelled by lam in the given context.
 
     The criterion is always "homogeneous and l_p small", where the
@@ -238,10 +238,8 @@ def classify_irreducible(lam: Partition, context: str, p: int = 3) -> IrredVerdi
     partitions.  A conjectural homogeneity verdict propagates whenever
     it is the deciding factor.
     """
-    if p != 3:
-        raise PartitionError("irreducibility classification is pinned to p=3")
     verdict = classify_homogeneous(lam)
-    lp = parity_stats(lam, p).l_p
+    lp = parity_stats(lam, 3).l_p
     odd = is_odd_partition(lam)
     if context == "super":
         bound = 0 if odd else 1

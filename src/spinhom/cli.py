@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (bad partition, violated
-precondition, unknown option value, a --p that is not an odd prime), 2
-when a verification suite reports failures or checks nothing.
+precondition, unknown option value, a --p that is not an odd prime, an
+unreadable or malformed decomposition matrix), 2 when a verification
+suite reports failures or checks nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import barcores, branching, classify, dimensions, families, ladders, tableaux, verify, wreath
@@ -112,9 +112,11 @@ def cmd_cartan(args) -> int:
         if args.nu is not None or args.pi is not None:
             raise PartitionError("--nu and --pi do not apply with --char3")
         matrix = wreath.load_decomp_matrix(args.decomp)
+        if matrix.p != 3:
+            raise PartitionError(f"--char3 needs a p=3 matrix, got p={matrix.p}")
         if matrix.d != args.d:
             raise PartitionError(f"matrix has degree {matrix.d}, expected {args.d}")
-        value = wreath.wreath_cartan_p(parse_partition(args.mu), matrix).value
+        value = wreath.wreath_cartan_p(parse_partition(args.mu), matrix)
         _emit({"value": value, "threshold": 2 * args.d + 1})
         return 0
     if args.decomp is not None or args.mu is not None:
@@ -124,7 +126,7 @@ def cmd_cartan(args) -> int:
     for flag, label in (("--nu", nu), ("--pi", pi)):
         if sum(label) != args.d:
             raise PartitionError(f"{flag} {format_partition(label)} has size {sum(label)}, expected {args.d}")
-    _emit({"value": wreath.wreath_cartan0(nu, pi).value, "threshold": 2 * args.d + 1})
+    _emit({"value": wreath.wreath_cartan0(nu, pi), "threshold": 2 * args.d + 1})
     return 0
 
 
@@ -177,13 +179,12 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = args.threads or int(os.environ.get("SPINHOM_THREADS", "1"))
     names = verify.suites_at(args.p) if args.suite == "all" else [args.suite]
     bad = 0
     empty = []
     for name in names:
         rows = verify.run_suite(
-            name, p=args.p, max_n=args.max_n, threads=threads, seed=args.seed, max_l=args.max_l
+            name, p=args.p, max_n=args.max_n, threads=args.threads, seed=args.seed, max_l=args.max_l
         )
         print(f"# suite {name}: {len(rows)} checks")
         for row in rows:
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--max-l", type=int, default=12, help="family index bound for the degrees suite")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -293,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "p"):
             check_odd_prime(args.p)
         return args.fn(args)
-    except PartitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # PartitionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

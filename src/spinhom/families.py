@@ -1,11 +1,12 @@
 """Named partition families used by the degree and extremal-chain suites.
 
-``run_down(a, b)`` is the arithmetic run a, a-3, ..., b (empty when
-a < b).  Each degree family ("deglem1" .. "deglem12", no number 3)
-pairs a partition lam(l) with a comparison partner mu(l) inside the
-same regularisation fibre and carries the exact closed form of either
-the direct ratio ddeg(lam)/ddeg(mu) or the consecutive-ratio quotient
-r(l+1)/r(l); the degrees suite recomputes both sides exactly.
+``run_down(a, b)``, from ``partitions``, is the arithmetic run a, a-3,
+..., b (empty when a < b).  Each degree family ("deglem1" ..
+"deglem12", no number 3) pairs a partition lam(l) with a comparison
+partner mu(l) inside the same regularisation fibre and carries the exact
+closed form of either the direct ratio ddeg(lam)/ddeg(mu) or the
+consecutive-ratio quotient r(l+1)/r(l); the degrees suite recomputes
+both sides exactly.
 
 ``sigma``/``tau`` are the two interleaved ladders of shapes ending in
 (6,4,3,1) and (6,5,3,2): adding all strictly-addable 1-nodes maps
@@ -23,14 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .partitions import Partition, PartitionError
-
-
-def run_down(a: int, b: int) -> Partition:
-    """The sequence a, a-3, ..., b; empty when a < b."""
-    if a >= b and (a - b) % 3 != 0:
-        raise PartitionError(f"run {a}..{b} endpoints differ mod 3")
-    return tuple(range(a, b - 1, -3))
+from .partitions import Partition, PartitionError, run_down
 
 
 def _suffix(head: Callable[[int], tuple[int, ...]], tail: Partition, length: int) -> Partition:

@@ -42,14 +42,21 @@ def check_odd_prime(p: int) -> None:
         raise PartitionError(f"p must be an odd prime, got {p}")
 
 
+def run_down(a: int, b: int) -> Partition:
+    """The sequence a, a-3, ..., b; empty when a < b."""
+    if a >= b and (a - b) % 3 != 0:
+        raise PartitionError(f"run {a}..{b} endpoints differ mod 3")
+    return tuple(range(a, b - 1, -3))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the canonical comma form, e.g. ``"5,4,3"``.
 
     The empty string (or the symbol for the empty partition) parses to ().
-    A token ``a..b`` abbreviates the arithmetic run a, a-3, ..., b and
-    requires a >= b with a == b (mod 3).  Input order is irrelevant: the
-    parts are sorted decreasingly, so the parser accepts any ordering and
-    strictness is a separate check (``classify_shape``).
+    A token ``a..b`` abbreviates ``run_down(a, b)``, the run a, a-3, ...,
+    b, and requires a >= b with a == b (mod 3).  Input order is
+    irrelevant: the parts are sorted decreasingly, so the parser accepts
+    any ordering and strictness is a separate check (``classify_shape``).
     """
     text = text.strip()
     if text in ("", "-", "0", "∅"):
@@ -69,10 +76,7 @@ def parse_partition(text: str) -> Partition:
                 raise PartitionError(f"malformed range token {tok!r}") from exc
             if a < b:
                 raise PartitionError(f"range {tok!r} must decrease")
-            if (a - b) % 3 != 0:
-                raise PartitionError(f"range {tok!r} endpoints differ mod 3")
-            run = list(range(a, b - 1, -3))
-            parts.extend(run)
+            parts.extend(run_down(a, b))
         else:
             try:
                 parts.append(int(tok))

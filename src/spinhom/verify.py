@@ -22,8 +22,9 @@ alone; these checks stop at a fixed cap whatever ``max_n`` asks for:
   n <= 25, the module list n <= 20.
 
 The sigma/tau chains, block closed forms and patterned tableaux use fixed
-ranges and run at p = 3 only; the degree families and staircase
-witnesses (l <= 8) follow ``max_l``.
+ranges and run at p = 3 only; the degree families (every declared
+range and equality index) and staircase witnesses (l <= 8) follow
+``max_l``.
 
 Suites fan out over partitions with a process pool when ``threads`` is
 above one; rows are merged back in submission order, so output is
@@ -50,6 +51,7 @@ from .partitions import (
     p_strict_partitions_of,
     parity_stats,
     partitions_of,
+    run_down,
     scaled_add,
     join,
     strict_partitions_of,
@@ -225,7 +227,7 @@ def suite_blocks(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
         rows.append(_equal(f"n={n}", "block_partition_of_set", "", total, len(everyone)))
     if p == 3:
         for l in range(1, 5):
-            nu = tuple(range(3 * l - 2, 0, -3))
+            nu = run_down(3 * l - 2, 1)
             for d in range(0, min(l, 3) + 1):
                 got = set(barcores.block_members(nu, d, 3, "pstrict"))
                 want = set()
@@ -286,7 +288,8 @@ def suite_degrees(p: int, max_n: int, threads: int = 1, seed: int = 0, max_l: in
                 got = dimensions.ddeg_ratio(fam.lam(l + 1), fam.mu(l + 1), 3) / dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
                 rows.append(_equal(name, "ratio_step_formula", f"l={l}", got, fam.ratio(l)))
         glo, ghi = fam.greater_range
-        for l in list(range(glo, min(ghi, max_l) + 1)) + [x for x in fam.extra_greater if x <= max_l]:
+        listed = list(range(glo, min(ghi, max_l) + 1)) + [x for x in fam.extra_greater if x <= max_l]
+        for l in [x for x in fam.equal_at if x <= max_l and x not in listed] + listed:
             r = dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
             if l in fam.equal_at:
                 rows.append(_equal(name, "ratio_equal_at", f"l={l}", r, 1))
@@ -325,7 +328,7 @@ def suite_tableaux(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[
                 rows.append(_holds(name, "residue_word_content", "", words_ok))
     if p == 3:
         for l in (3, 4):
-            nu = tuple(range(3 * l - 2, 0, -3))
+            nu = run_down(3 * l - 2, 1)
             for d in range(1, min(l, 3) + 1):
                 lam = scaled_add(nu, 3, (1,) * d)
                 tab = tableaux.find_patterned_tableau(lam, nu, 3)
@@ -358,14 +361,14 @@ def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
     for d in range(1, min(max_d, 6) + 1):
         parts = list(partitions_of(d))
         sym_ok = all(
-            wreath.wreath_cartan0(nu, pi).value == wreath.wreath_cartan0(pi, nu).value
+            wreath.wreath_cartan0(nu, pi) == wreath.wreath_cartan0(pi, nu)
             for nu in parts
             for pi in parts
         )
         rows.append(_holds(f"d={d}", "cartan0_symmetry", "", sym_ok))
     for d in range(1, max_d + 1):
         for nu in partitions_of(d):
-            v = wreath.wreath_cartan0(nu, nu).value
+            v = wreath.wreath_cartan0(nu, nu)
             if nu in ((d,), (1,) * d):
                 rows.append(_equal(format_partition(nu), "cartan0_diagonal_equality", f"d={d}", v, 2 * d + 1))
             else:
@@ -373,7 +376,7 @@ def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
     for d in range(3, min(max_d, 6) + 1):
         matrix = wreath.bundled_decomp_matrix(d)
         for mu in matrix.columns:
-            v = wreath.wreath_cartan_p(mu, matrix).value
+            v = wreath.wreath_cartan_p(mu, matrix)
             rows.append(_row(format_partition(mu), "cartan3_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1))
     rng = random.Random(seed)
     candidates = [nu for d in range(3, min(max_d, 6) + 1) for nu in partitions_of(d) if (2, 1) != nu and wreath._skew_ok(nu, (2, 1))]
@@ -386,7 +389,7 @@ def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
                 for alpha in partitions_of(a):
                     for gamma in partitions_of(d - b - a):
                         bound += wreath.lr3(alpha, beta, gamma, nu) ** 2
-        v = wreath.wreath_cartan0(nu, nu).value
+        v = wreath.wreath_cartan0(nu, nu)
         rows.append(_row(format_partition(nu), "cartan0_lower_bound", f"d={d}", v, f">= {bound}", v >= bound))
     return rows
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from pathlib import Path
 
-from .partitions import Partition, PartitionError, conjugate, format_partition, parse_partition, partitions_of
+from .partitions import Partition, PartitionError, check_odd_prime, conjugate, format_partition, parse_partition, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +98,6 @@ def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> i
     return total
 
 
-@dataclass(frozen=True)
-class CartanValue:
-    value: int
-
-
 @lru_cache(maxsize=None)
 def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]:
     """The non-zero lr3(alpha, beta, gamma; nu), keyed by (alpha, beta, gamma)."""
@@ -118,7 +114,7 @@ def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]
     return row
 
 
-def wreath_cartan0(nu: Partition, pi: Partition) -> CartanValue:
+def wreath_cartan0(nu: Partition, pi: Partition) -> int:
     """Characteristic-zero composition multiplicity c(nu, pi).
 
     A dot product of the memoised lr3 rows of nu and pi, over the
@@ -130,7 +126,7 @@ def wreath_cartan0(nu: Partition, pi: Partition) -> CartanValue:
     total = 0
     for (alpha, beta, gamma), v in _lr3_row(nu).items():
         total += v * other.get((alpha, _conjugate(beta), gamma), 0)
-    return CartanValue(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +159,11 @@ class DecompMatrix:
 def parse_decomp_matrix(text: str) -> DecompMatrix:
     """Parse the line-based matrix format.
 
-    Line 1 is ``p=3 d=<int>``; every further non-comment line reads
-    ``<partition> : <col>=<mult>[, <col>=<mult>]*`` with partitions in
-    canonical comma form.  Column labels must be p-regular and the
-    diagonal entries of p-regular rows must equal one.
+    Line 1 is ``p=<odd prime> d=<int>``; every further non-comment line
+    reads ``<partition> : <col>=<mult>[, <col>=<mult>]*`` with
+    partitions in canonical comma form.  Multiplicities are
+    non-negative, column labels must be p-regular and the diagonal
+    entries of p-regular rows must equal one.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -178,6 +175,7 @@ def parse_decomp_matrix(text: str) -> DecompMatrix:
         p, d = int(fields["p"]), int(fields["d"])
     except (ValueError, KeyError) as exc:
         raise PartitionError(f"bad header line {lines[0]!r}") from exc
+    check_odd_prime(p)
     entries: dict[tuple[Partition, Partition], int] = {}
     for ln in lines[1:]:
         if ":" not in ln:
@@ -195,7 +193,10 @@ def parse_decomp_matrix(text: str) -> DecompMatrix:
                 col = parse_partition(col_text)
                 if not is_p_regular(col, p):
                     raise PartitionError(f"column label {col} is not {p}-regular")
-                entries[(row, col)] = int(mult_text)
+                mult = int(mult_text)
+                if mult < 0:
+                    raise PartitionError(f"negative multiplicity {mult} in line {ln!r}")
+                entries[(row, col)] = mult
                 chunk = []
         if chunk:
             raise PartitionError(f"dangling tokens {chunk} in line {ln!r}")
@@ -206,9 +207,11 @@ def parse_decomp_matrix(text: str) -> DecompMatrix:
 
 
 def load_decomp_matrix(source: str) -> DecompMatrix:
-    from pathlib import Path
-
-    return parse_decomp_matrix(Path(source).read_text(encoding="utf-8"))
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PartitionError(f"cannot read decomposition matrix {source}: {exc.strerror or exc}") from exc
+    return parse_decomp_matrix(text)
 
 
 def bundled_decomp_matrix(d: int, p: int = 3) -> DecompMatrix:
@@ -218,7 +221,7 @@ def bundled_decomp_matrix(d: int, p: int = 3) -> DecompMatrix:
     return parse_decomp_matrix(data.read_text(encoding="utf-8"))
 
 
-def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> CartanValue:
+def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> int:
     """Characteristic-p diagonal Cartan value for a p-regular label mu.
 
     Conjugates the characteristic-zero Cartan matrix by the ingested
@@ -231,9 +234,5 @@ def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> CartanValue:
     total = 0
     for nu in rows:
         for pi in rows:
-            total += (
-                matrix.mult(nu, mu)
-                * wreath_cartan0(nu, pi).value
-                * matrix.mult(pi, mu)
-            )
-    return CartanValue(total)
+            total += matrix.mult(nu, mu) * wreath_cartan0(nu, pi) * matrix.mult(pi, mu)
+    return total

@@ -1,0 +1,36 @@
+"""The contract-range ``verify`` runs, made once per test session.
+
+The acceptance criteria and the full-range suite tests all read these
+rows, so no suite runs twice at its contract range.
+"""
+
+import os
+
+import pytest
+
+from spinhom import verify
+
+THREADS = min(4, os.cpu_count() or 1)
+
+# (suite, p, max_n) of each contract run; the degrees run uses max_l = 12
+CONTRACT_RUNS = (
+    ("ladders", 3, 25),
+    ("ladders", 5, 18),
+    ("branching", 3, 25),
+    ("branching", 5, 16),
+    ("blocks", 3, 16),
+    ("blocks", 5, 16),
+    ("degrees", 3, 12),
+    ("tableaux", 3, 12),
+    ("wreath", 3, 8),
+    ("classification", 3, 30),
+)
+
+
+@pytest.fixture(scope="session")
+def contract_rows() -> dict[tuple[str, int], list[verify.Row]]:
+    """The rows of every contract run, keyed by (suite, p)."""
+    return {
+        (name, p): verify.run_suite(name, p=p, max_n=max_n, threads=THREADS, max_l=12)
+        for name, p, max_n in CONTRACT_RUNS
+    }

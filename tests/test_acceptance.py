@@ -1,9 +1,14 @@
 """Acceptance gate: one test (or test group) per numbered criterion.
 
-Every check here pins the exact ranges and tolerances of the contract;
-all arithmetic is exact, so "tolerance" always means equality.  Each
-criterion prints a PASS line on success (run with ``-s`` to stream
-them); a failing assertion is the FAIL line.
+Criterion 1 checks the worked examples by hand.  Criteria 2 to 8b read
+the ``verify`` rows of the session fixture ``contract_rows``: each picks
+its checks by name (and by subject size where its range is below the
+run's), asserts that none fails, and pins the number of rows of each
+check, so a suite that silently checks less fails here too.  The runs
+are listed in ``conftest.py``, the caps inside each suite in the
+``verify`` docstring and the default ranges in ``verify.SUITES``.  All
+arithmetic is exact.  Each criterion prints a PASS line on success (run
+with ``-s`` to stream them); a failing assertion is the FAIL line.
 
 Criterion 8 note: the extremal chain is verified at every index where
 its defining shapes exist.  The l = 1 step of the 0-direction half is
@@ -14,49 +19,28 @@ one expected red in this suite.  See the repository notes for the full
 analysis.
 """
 
-import os
 import time
-from math import factorial
+from collections import Counter
 
 from spinhom import verify
-from spinhom.barcores import block_members, reg_preimages
-from spinhom.branching import (
-    dn,
-    extremal,
-    ladder_obstruction,
-    phi_hat,
-    signature,
-    tilde_e,
-    tilde_f,
-)
-from spinhom.classify import (
-    PROVEN_HOM,
-    PROVEN_NOT,
-    classify_homogeneous,
-    classify_irreducible,
-    homogeneity_obstruction,
-    special_decompose,
-)
-from spinhom.dimensions import ddeg_ratio, regn_multiplicity, spin_dim
-from spinhom.families import FAMILIES, sigma, tau
+from spinhom.branching import extremal, signature, tilde_e, tilde_f
+from spinhom.families import sigma, tau
 from spinhom.ladders import ladder_index, regularize, residue
-from spinhom.partitions import (
-    is_odd_partition,
-    join,
-    parity_stats,
-    partitions_of,
-    scaled_add,
-    strict_partitions_of,
-)
-from spinhom.tableaux import count_sst, find_patterned_tableau
-from spinhom.verify import matches_module_list
-from spinhom.wreath import bundled_decomp_matrix, wreath_cartan0, wreath_cartan_p
-
-THREADS = min(4, os.cpu_count() or 1)
+from spinhom.partitions import parse_partition
+from spinhom.wreath import bundled_decomp_matrix
 
 
 def _ok(criterion: str, detail: str = "") -> None:
     print(f"ACCEPTANCE {criterion}: PASS {detail}".rstrip())
+
+
+def _checked(rows, want: dict[str, int], max_n: int | None = None) -> int:
+    """The number of rows of the checks in ``want`` (subjects of size at
+    most ``max_n``), after asserting none fails and each count is pinned."""
+    picked = [row for row in rows if row[1] in want and (max_n is None or sum(parse_partition(row[0])) <= max_n)]
+    assert verify.failures(picked) == []
+    assert Counter(row[1] for row in picked) == Counter(want)
+    return len(picked)
 
 
 def test_criterion_1_worked_examples():
@@ -79,171 +63,60 @@ def test_criterion_1_worked_examples():
     _ok("1", f"(worked examples bit-exact in {elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_2_ladder_identity_suite():
-    rows3 = verify.suite_ladders(3, 25, threads=THREADS)
-    assert verify.failures(rows3) == []
-    rows5 = verify.suite_ladders(5, 18, threads=THREADS)
-    assert verify.failures(rows5) == []
-    checked = sum(1 for row in rows3 + rows5 if row[1] in ("arladd1", "lads", "lads_strict", "zzlem", "zzreglem"))
+def test_criterion_2_ladder_identity_suite(contract_rows):
+    rows3, rows5 = contract_rows["ladders", 3], contract_rows["ladders", 5]
+    assert verify.failures(rows3 + rows5) == []
+    checked = _checked(rows3, {"arladd1": 10371, "lads": 10781, "lads_strict": 6457})
+    checked += _checked(rows5, {"arladd1": 1313, "lads": 1475, "lads_strict": 1325, "zzlem": 2691, "zzreglem": 2691})
     _ok("2", f"({checked} identity instances, zero failures)")
 
 
-def test_criterion_3_obstruction_predicates():
-    count = 0
-    for n in range(21):
-        for lam in strict_partitions_of(n):
-            for i in (0, 1):
-                obstruction = ladder_obstruction(lam, i, 3)
-                overshoot = dn(lam, i, 3)
-                if i == 1:
-                    assert obstruction == overshoot, (lam, i)
-                if obstruction:
-                    assert overshoot, (lam, i)
-                count += 1
-    _ok("3", f"({count} partition/residue pairs, zero counterexamples)")
+def test_criterion_3_obstruction_predicates(contract_rows):
+    want = {"dn_half_equivalence": 371, "dn_implication": 207}
+    checked = _checked(contract_rows["branching", 3], want, max_n=20)
+    _ok("3", f"({checked} equivalence and implication rows to n=20, zero counterexamples)")
 
 
-def test_criterion_4_dimension_engine():
-    for n in range(1, 11):
-        total = 0
-        for lam in strict_partitions_of(n):
-            d = spin_dim(lam).dim
-            total += d * d // (2 if is_odd_partition(lam) else 1)
-        assert total == factorial(n), n
-    for n in range(13):
-        for lam in strict_partitions_of(n):
-            assert spin_dim(lam).g == count_sst(lam), lam
-    for name in sorted(FAMILIES):
-        fam = FAMILIES[name]
-        lo, hi = fam.formula_range
-        if fam.ratio_kind == "direct":
-            for l in range(lo, min(hi, 12) + 1):
-                assert ddeg_ratio(fam.lam(l), fam.mu(l), 3) == fam.ratio(l), (name, l)
-        else:
-            for l in range(lo, min(hi, 12)):
-                step = ddeg_ratio(fam.lam(l + 1), fam.mu(l + 1), 3) / ddeg_ratio(fam.lam(l), fam.mu(l), 3)
-                assert step == fam.ratio(l), (name, l)
-        glo, ghi = fam.greater_range
-        for l in list(range(glo, min(ghi, 12) + 1)) + list(fam.extra_greater):
-            ratio = ddeg_ratio(fam.lam(l), fam.mu(l), 3)
-            if l in fam.equal_at:
-                assert ratio == 1, (name, l)
-            else:
-                assert ratio > 1, (name, l)
-            if fam.same_reg:
-                assert regularize(fam.lam(l), 3) == regularize(fam.mu(l), 3), (name, l)
-    _ok("4", "(sum-of-squares to 10, tableau counts to 12, all family closed forms to l=12)")
+def test_criterion_4_dimension_engine(contract_rows):
+    want = {"sum_of_squares": 10, "g_equals_tableau_count": 70, "ratio_formula": 31, "ratio_step_formula": 54,
+            "ratio_greater": 99, "ratio_equal_at": 2, "same_regularisation": 101}
+    checked = _checked(contract_rows["degrees", 3], want)
+    _ok("4", f"({checked} rows: sum-of-squares to 10, tableau counts to 12, family closed forms to l=12)")
 
 
-def test_criterion_5_wreath_cartan():
-    for d in range(1, 9):
-        for nu in partitions_of(d):
-            value = wreath_cartan0(nu, nu).value
-            if nu in ((d,), (1,) * d):
-                assert value == 2 * d + 1, (nu, value)
-            else:
-                assert value > 2 * d + 1, (nu, value)
+def test_criterion_5_wreath_cartan(contract_rows):
     for d in range(3, 7):
         matrix = bundled_decomp_matrix(d)
         assert matrix.d == d and matrix.p == 3
-        for mu in matrix.columns:
-            assert wreath_cartan_p(mu, matrix).value > 2 * d + 1, (d, mu)
-    _ok("5", "(diagonal law to d=8 exact; ingested char-3 bound for 3<=d<=6)")
+    want = {"cartan0_diagonal_equality": 15, "cartan0_diagonal_strict": 51, "cartan3_diagonal_strict": 18}
+    checked = _checked(contract_rows["wreath", 3], want)
+    _ok("5", f"({checked} rows: diagonal law to d=8 exact; ingested char-3 bound for 3<=d<=6)")
 
 
-def test_criterion_6_block_combinatorics():
-    from spinhom.partitions import is_restricted
-
-    for l in range(1, 5):
-        nu = tuple(range(3 * l - 2, 0, -3))
-        for d in range(0, min(l, 3) + 1):
-            got = set(block_members(nu, d, 3, "pstrict"))
-            want = set()
-            for a in range(d + 1):
-                for alpha in partitions_of(a):
-                    if len(alpha) > len(nu):
-                        continue
-                    for beta in partitions_of(d - a):
-                        want.add(join(scaled_add(nu, 3, alpha), tuple(3 * b for b in beta)))
-            assert got == want, (l, d)
-            restricted = set(block_members(nu, d, 3, "restricted"))
-            assert restricted == {m for m in want if is_restricted(m, 3)}
-            assert restricted == {join(nu, tuple(3 * b for b in beta)) for beta in partitions_of(d)}
-
-            mu = join(nu, (3 * d,) if d else ())
-            fibre = reg_preimages(mu, 3)
-            want_fibre = {
-                join(scaled_add(nu, 3, (1,) * (d - i)), (3 * i,) if i else ()) for i in range(d + 1)
-            }
-            assert set(fibre) == want_fibre, (l, d)
-            msum = sum(
-                regn_multiplicity(lam, 3).s_to_d * regn_multiplicity(lam, 3).p_to_s for lam in fibre
-            )
-            assert msum == 2 * d + 1, (l, d)
-    for l in (3, 4):
-        nu = tuple(range(3 * l - 2, 0, -3))
-        for d in range(1, min(l, 3) + 1):
-            lam = scaled_add(nu, 3, (1,) * d)
-            assert find_patterned_tableau(lam, nu, 3) is not None, (l, d)
-    _ok("6", "(block closed forms, fibres with multiplicity 2d+1, patterned tableaux)")
+def test_criterion_6_block_combinatorics(contract_rows):
+    closed = ("block_closed_form", "block_restricted_iff_alpha_empty", "reg_fibre_closed_form", "fibre_multiplicity_sum")
+    checked = _checked(contract_rows["blocks", 3], dict.fromkeys(closed, 13))
+    checked += _checked(contract_rows["tableaux", 3], {"patterned_tableau": 6})
+    _ok("6", f"({checked} rows: block closed forms, fibres with multiplicity 2d+1, patterned tableaux)")
 
 
-def test_criterion_7_classifier_coherence():
-    hom_count = 0
-    for n in range(29):
-        for lam in strict_partitions_of(n):
-            verdict = classify_homogeneous(lam)
-            if verdict.status != PROVEN_HOM:
-                continue
-            hom_count += 1
-            assert homogeneity_obstruction(lam) is None, lam
-            for i in (0, 1):
-                down = extremal(lam, i, 3, "down").result
-                assert classify_homogeneous(down).status != PROVEN_NOT, (lam, i)
-    for n in range(26):
-        for lam in strict_partitions_of(n):
-            verdict = classify_homogeneous(lam)
-            for i in (0, 1):
-                if phi_hat(lam, i, 3) != 0:
-                    continue
-                sub = classify_homogeneous(extremal(lam, i, 3, "down").result)
-                if verdict.proven and sub.proven:
-                    assert (verdict.status == PROVEN_HOM) == (sub.status == PROVEN_HOM), (lam, i)
-    for n in range(31):
-        for lam in strict_partitions_of(n):
-            if classify_homogeneous(lam).homogeneous:
-                assert parity_stats(lam, 3).l_p <= 1, lam
-    for n in range(1, 21):
-        for lam in strict_partitions_of(n):
-            special = special_decompose(lam) is not None
-            for context in ("sn", "an"):
-                verdict = classify_irreducible(lam, context)
-                if not verdict.proven:
-                    continue
-                if verdict.irreducible:
-                    assert special or matches_module_list(lam, context), (lam, context)
-                if matches_module_list(lam, context):
-                    assert verdict.irreducible, (lam, context)
-    _ok("7", f"({hom_count} proven-homogeneous partitions certified to n=28; module lists match to n=20)")
+def test_criterion_7_classifier_coherence(contract_rows):
+    rows = contract_rows["classification", 3]
+    certified = _checked(rows, {"soundness_no_certificate": 86})
+    checked = _checked(rows, {"restriction_closure": 170, "phi_zero_verdict_agrees": 323, "homogeneous_lp_bound": 108,
+                              "module_list_covers": 93, "module_list_irreducible": 23})
+    _ok("7", f"({certified} proven-homogeneous partitions certified to n=28; {checked} coherence rows to n=30)")
 
 
-def test_criterion_8_chain_identities_exhaustive():
-    for n in range(23):
-        for lam in strict_partitions_of(n):
-            if any(a % 3 == 1 for a in lam):
-                continue
-            up = extremal(extremal(lam, 0, 3, "up").result, 1, 3, "up").result
-            assert all(a % 3 != 1 for a in up), lam
-            assert len(up) == len(lam) + 1 and up[-1] == 2, lam
-    _ok("8b", "(no-parts-1-mod-3 chain identities exhaustive to n=22)")
+def test_criterion_8_chain_identities_exhaustive(contract_rows):
+    want = {"chain_up_avoids_1_mod_3": 110, "chain_up_length_last": 110}
+    checked = _checked(contract_rows["branching", 3], want, max_n=22)
+    _ok("8b", f"({checked} no-parts-1-mod-3 chain identity rows, exhaustive to n=22)")
 
 
-def test_criterion_8_sigma_tau_chain_one_step():
-    for l in range(1, 9):
-        assert extremal(sigma(l), 1, 3, "up").result == tau(l), l
-    for l in range(2, 9):
-        assert extremal(tau(l), 0, 3, "up").result == sigma(l + 1), l
-    _ok("8a", "(sigma->tau for 1<=l<=8, tau->sigma for 2<=l<=8, exact)")
+def test_criterion_8_sigma_tau_chain_one_step(contract_rows):
+    checked = _checked(contract_rows["branching", 3], {"chain_sigma_to_tau": 8, "chain_tau_to_sigma": 7})
+    _ok("8a", f"({checked} rows: sigma->tau for 1<=l<=8, tau->sigma for 2<=l<=8, exact)")
 
 
 def test_criterion_8_sigma_tau_chain_l1_zero_step():

@@ -180,6 +180,30 @@ def test_cartan_char3_options_need_char3(capsys, tmp_path):
         assert captured.err == "error: --nu and --pi do not apply with --char3\n"
 
 
+S3_P3 = "p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("missing.txt", None, "cannot read decomposition matrix {path}: No such file or directory"),
+        ("", None, "cannot read decomposition matrix {path}: Is a directory"),
+        ("p4.txt", S3_P3.replace("p=3", "p=4"), "p must be an odd prime, got 4"),
+        ("p5.txt", "p=5 d=3\n3 : 3=1\n2,1 : 2,1=1\n1,1,1 : 1,1,1=1\n", "--char3 needs a p=3 matrix, got p=5"),
+        ("neg.txt", S3_P3.replace("3=1, 2,1=1", "3=-2, 2,1=1"), "negative multiplicity -2 in line '2,1 : 3=-2, 2,1=1'"),
+    ],
+    ids=["missing", "directory", "p4", "p5", "negative"],
+)
+def test_cartan_char3_rejects_bad_matrix_files(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main(["cartan", "--d", "3", "--char3", "--decomp", str(path), "--mu", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
 def test_enumerate_negative_n(capsys):
     assert main(["enumerate", "--n", "-3"]) == 1
     captured = capsys.readouterr()

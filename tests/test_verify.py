@@ -3,6 +3,7 @@ import os
 import pytest
 
 from spinhom import verify
+from spinhom.families import FAMILIES
 
 
 @pytest.mark.parametrize("name", verify.SUITES)
@@ -54,31 +55,25 @@ def test_wreath_suite_seeded_sample_is_stable():
     assert a == b
 
 
-def test_suites_clean_at_pinned_ranges():
-    """Every module-invariant suite at its contract range (degrees has
-    its own full-scale test below)."""
-    threads = min(4, os.cpu_count() or 1)
-    jobs = [
-        ("ladders", 3, 25),
-        ("ladders", 5, 18),
-        ("branching", 3, 25),
-        ("branching", 5, 16),
-        ("blocks", 3, 16),
-        ("blocks", 5, 16),
-        ("tableaux", 3, 12),
-        ("wreath", 3, 8),
-        ("classification", 3, 30),
-    ]
-    for name, p, max_n in jobs:
-        rows = verify.run_suite(name, p=p, max_n=max_n, threads=threads)
-        assert verify.failures(rows) == [], (name, p, max_n)
+def test_suites_clean_at_pinned_ranges(contract_rows):
+    """Every suite at its contract range, read from the session runs."""
+    for run, rows in contract_rows.items():
+        assert rows, run
+        assert verify.failures(rows) == [], run
 
 
-def test_degrees_suite_full_invariants():
+def test_degrees_suite_full_invariants(contract_rows):
     """Full-scale run: every degree-family closed form to l = 12 and a
     same-fibre smaller-degree partner for every admissible staircase
     adjustment through l = 8."""
-    threads = min(4, os.cpu_count() or 1)
-    rows = verify.suite_degrees(3, 12, threads=threads, max_l=12)
+    rows = contract_rows["degrees", 3]
     assert verify.failures(rows) == []
     assert any(row[1] == "staircase_witness" and "l=8" in row[2] for row in rows)
+
+
+def test_degrees_suite_checks_every_equal_at_index(contract_rows):
+    equal_rows = {(row[0], row[2]) for row in contract_rows["degrees", 3] if row[1] == "ratio_equal_at"}
+    declared = {(name, f"l={l}") for name, fam in FAMILIES.items() for l in fam.equal_at if l <= 12}
+    assert declared and equal_rows == declared
+    small = verify.suite_degrees(3, 4, max_l=2)
+    assert {(row[0], row[2]) for row in small if row[1] == "ratio_equal_at"} == {("deglem12", "l=1")}

@@ -135,8 +135,8 @@ def _clear_wreath_memos():
 
 def test_memoisation_contract():
     _clear_wreath_memos()
-    cold = wreath_cartan0((2, 1), (2, 1)).value
-    warm = wreath_cartan0((2, 1), (2, 1)).value
+    cold = wreath_cartan0((2, 1), (2, 1))
+    warm = wreath_cartan0((2, 1), (2, 1))
     assert cold == warm == 19
 
 
@@ -158,18 +158,18 @@ def test_cartan0_matches_reference_triple_sum():
     pairs += [(nu, nu) for d in (6, 7) for nu in partitions_of(d)]
     expected = {pair: _cartan0_by_triple_sum(*pair) for pair in pairs}
     _clear_wreath_memos()
-    cold = {pair: wreath_cartan0(*pair).value for pair in pairs}
-    warm = {pair: wreath_cartan0(*pair).value for pair in pairs}
+    cold = {pair: wreath_cartan0(*pair) for pair in pairs}
+    warm = {pair: wreath_cartan0(*pair) for pair in pairs}
     assert cold == warm == expected
 
 
 def test_cartan0_values():
-    assert wreath_cartan0((3,), (3,)).value == 7
-    assert wreath_cartan0((2, 1), (2, 1)).value == 19
-    assert wreath_cartan0((3,), (2, 1)).value == 8
+    assert wreath_cartan0((3,), (3,)) == 7
+    assert wreath_cartan0((2, 1), (2, 1)) == 19
+    assert wreath_cartan0((3,), (2, 1)) == 8
     for d in range(1, 7):
         for nu in partitions_of(d):
-            v = wreath_cartan0(nu, nu).value
+            v = wreath_cartan0(nu, nu)
             if nu in ((d,), (1,) * d):
                 assert v == 2 * d + 1
             else:
@@ -182,7 +182,7 @@ def test_cartan0_symmetry():
     for d in range(1, 6):
         for nu in partitions_of(d):
             for pi in partitions_of(d):
-                assert wreath_cartan0(nu, pi).value == wreath_cartan0(pi, nu).value
+                assert wreath_cartan0(nu, pi) == wreath_cartan0(pi, nu)
 
 
 def test_cartan0_lower_bound_with_small_betas():
@@ -199,7 +199,7 @@ def test_cartan0_lower_bound_with_small_betas():
                     for alpha in partitions_of(a):
                         for gamma in partitions_of(rest - a):
                             bound += lr3(alpha, beta, gamma, nu) ** 2
-            assert wreath_cartan0(nu, nu).value >= bound
+            assert wreath_cartan0(nu, nu) >= bound
 
 
 def test_parse_decomp_matrix():
@@ -279,11 +279,11 @@ def test_bundled_matrices_consistency():
 
 def test_cartan_char3():
     m3 = bundled_decomp_matrix(3)
-    assert wreath_cartan_p((3,), m3).value == 42
+    assert wreath_cartan_p((3,), m3) == 42
     for d in range(3, 7):
         matrix = bundled_decomp_matrix(d)
         for mu in matrix.columns:
-            assert wreath_cartan_p(mu, matrix).value > 2 * d + 1, (d, mu)
+            assert wreath_cartan_p(mu, matrix) > 2 * d + 1, (d, mu)
     with pytest.raises(PartitionError):
         wreath_cartan_p((1, 1, 1), m3)
 
@@ -294,4 +294,4 @@ def test_cartan_char3_small_degrees_semisimple():
     for d in (1, 2):
         matrix = bundled_decomp_matrix(d)
         for mu in matrix.columns:
-            assert wreath_cartan_p(mu, matrix).value == wreath_cartan0(mu, mu).value == 2 * d + 1
+            assert wreath_cartan_p(mu, matrix) == wreath_cartan0(mu, mu) == 2 * d + 1
