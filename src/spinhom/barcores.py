@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ladders import ladder_profile, regularize
-from .partitions import (
-    Partition,
-    PartitionError,
-    is_p_strict,
-    is_restricted,
-    is_strict,
-)
+from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, has_shape, is_p_strict, require_shape
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,7 @@ class BarRemoval:
 
 def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
     """All single p-bar removals from lam, each yielding a p-strict result."""
-    if not is_p_strict(lam, p):
-        raise PartitionError(f"{lam} is not {p}-strict")
+    require_shape(lam, PSTRICT, p)
     out: list[BarRemoval] = []
     parts = set(lam)
     for r, a in enumerate(lam, start=1):
@@ -115,14 +108,14 @@ def bar_additions(lam: Partition, p: int) -> list[Partition]:
     return sorted(out, reverse=True)
 
 
-def block_members(core: Partition, weight: int, p: int, shape: str = "pstrict") -> list[Partition]:
+def block_members(core: Partition, weight: int, p: int, shape: str = PSTRICT) -> list[Partition]:
     """All partitions with the given bar core and weight, filtered by shape.
 
     The block is grown by iterated bar addition from its core, which
     keeps the enumeration proportional to the output size.  ``shape``
-    is one of "pstrict", "strict", "restricted".
+    names one of the classes in ``partitions.SHAPES``.
     """
-    if shape not in ("pstrict", "strict", "restricted"):
+    if shape not in SHAPES:
         raise PartitionError(f"unknown shape filter {shape!r}")
     if not is_bar_core(core, p):
         raise PartitionError(f"{core} is not a {p}-bar core")
@@ -131,11 +124,7 @@ def block_members(core: Partition, weight: int, p: int, shape: str = "pstrict") 
     frontier = {core}
     for _ in range(weight):
         frontier = {mu for lam in frontier for mu in bar_additions(lam, p)}
-    if shape == "strict":
-        frontier = {lam for lam in frontier if is_strict(lam)}
-    elif shape == "restricted":
-        frontier = {lam for lam in frontier if is_restricted(lam, p)}
-    return sorted(frontier, reverse=True)
+    return sorted((lam for lam in frontier if has_shape(lam, shape, p)), reverse=True)
 
 
 def reg_preimages(mu: Partition, p: int) -> list[Partition]:
@@ -147,8 +136,7 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     Ladders below (p-1)*(r-1) are untouchable from row r on, which
     prunes hard.
     """
-    if not is_restricted(mu, p):
-        raise PartitionError(f"{mu} is not restricted {p}-strict")
+    require_shape(mu, RESTRICTED, p)
     target = ladder_profile(mu, p)
     if not target:
         return [()]

@@ -39,29 +39,23 @@ from functools import lru_cache
 
 from .ladders import _MEMO_SIZE, ladder_index, regularize, residue
 from .partitions import (
+    PSTRICT,
+    RESTRICTED,
+    STRICT,
     Partition,
     PartitionError,
     is_odd_partition,
-    is_p_strict,
     is_restricted,
     is_strict,
+    require_shape,
 )
 
 Node = tuple[int, int]
 
-STRICT = "strict"
-PSTRICT = "pstrict"
 
-
-def _check_mode(lam: Partition, p: int, mode: str) -> None:
-    if mode == STRICT:
-        if not is_strict(lam):
-            raise PartitionError(f"{lam} is not strict")
-    elif mode == PSTRICT:
-        if not is_p_strict(lam, p):
-            raise PartitionError(f"{lam} is not {p}-strict")
-    else:
-        raise PartitionError(f"unknown mode {mode!r}")
+def _require_residue(i: int, p: int) -> None:
+    if not 0 <= i <= (p - 1) // 2:
+        raise PartitionError(f"residue {i} out of range for p={p}")
 
 
 def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
@@ -109,9 +103,10 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
     arguments; every check runs on each miss, and an input that raises
     is never stored.
     """
-    _check_mode(lam, p, mode)
-    if not 0 <= i <= (p - 1) // 2:
-        raise PartitionError(f"residue {i} out of range for p={p}")
+    if mode not in (STRICT, PSTRICT):
+        raise PartitionError(f"unknown mode {mode!r}")
+    require_shape(lam, mode, p)
+    _require_residue(i, p)
     rows = lam + (0,)
     addables = [
         (r, rows[r - 1] + j)
@@ -159,8 +154,7 @@ def signature(mu: Partition, i: int, p: int) -> SignatureReport:
     Memoised like ``boundary_nodes``: ``eps_i``, ``normal_extremal`` and
     the tilde operators read the same signature in turn.
     """
-    if not is_restricted(mu, p):
-        raise PartitionError(f"{mu} is not restricted {p}-strict")
+    require_shape(mu, RESTRICTED, p)
     adds, rems = boundary_nodes(mu, i, p, PSTRICT)
     entries = sorted(
         [(rc, "+") for rc in adds] + [(rc, "-") for rc in rems], key=lambda e: e[0][1]
@@ -284,8 +278,8 @@ def branch_multiset(lam: Partition, i: int, p: int, direction: str) -> list[tupl
     adding ("up") one i-node appears with coefficient 2 when lam is odd
     and the neighbour is even, and 1 otherwise.
     """
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
+    _require_residue(i, p)
     if direction not in ("down", "up"):
         raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
     lam_odd = is_odd_partition(lam)

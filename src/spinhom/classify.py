@@ -32,14 +32,7 @@ from .barcores import bar_removals
 from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
 from .dimensions import degree_witness
 from .ladders import regularize
-from .partitions import (
-    Partition,
-    PartitionError,
-    conjugate,
-    is_odd_partition,
-    is_strict,
-    parity_stats,
-)
+from .partitions import STRICT, Partition, PartitionError, conjugate, parity_stats, require_shape
 
 PROVEN_HOM = "ProvenHomogeneous"
 PROVEN_NOT = "ProvenNotHomogeneous"
@@ -135,8 +128,7 @@ def core_join_three(lam: Partition) -> Partition | None:
 
 def classify_homogeneous(lam: Partition) -> Verdict:
     """Homogeneity verdict of a strict partition at p = 3."""
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
     if not bar_removals(lam, 3):
         return Verdict(PROVEN_HOM, "BarCore_weight0")
     special = special_decompose(lam)
@@ -179,7 +171,7 @@ class Certificate:
     witness: Partition | None = None
 
 
-def homogeneity_obstruction(lam: Partition, p: int = 3) -> Certificate | None:
+def homogeneity_obstruction(lam: Partition) -> Certificate | None:
     """First found certificate incompatible with homogeneity, if any.
 
     Checked in order, over every residue: a removable node below an
@@ -188,18 +180,17 @@ def homogeneity_obstruction(lam: Partition, p: int = 3) -> Certificate | None:
     regularising and regularising then removing normal nodes; and a
     same-fibre partner of smaller reduced degree.
     """
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
-    reg = regularize(lam, p)
-    for i in range((p - 1) // 2 + 1):
-        if ladder_obstruction(lam, i, p):
+    require_shape(lam, STRICT)
+    reg = regularize(lam, 3)
+    for i in (0, 1):
+        if ladder_obstruction(lam, i, 3):
             return Certificate("Obstruction_certificate", residue=i)
-        down = extremal(lam, i, p, "down")
-        if down.count != eps_i(reg, i, p):
+        down = extremal(lam, i, 3, "down")
+        if down.count != eps_i(reg, i, 3):
             return Certificate("Eps_mismatch", residue=i)
-        if regularize(down.result, p) != normal_extremal(reg, i, p, "down"):
+        if regularize(down.result, 3) != normal_extremal(reg, i, 3, "down"):
             return Certificate("Restriction_mismatch", residue=i)
-    witness = degree_witness(lam, p)
+    witness = degree_witness(lam, 3)
     if witness is not None:
         return Certificate("Degree_witness", witness=witness)
     return None
@@ -217,39 +208,27 @@ class IrredVerdict:
     proven: bool
 
 
-def _label_names(lam: Partition, context: str) -> tuple[str, ...]:
-    odd = is_odd_partition(lam)
-    if context == "super":
-        return ("S^lam [type Q]",) if odd else ("S^lam [type M]",)
-    if context == "sn":
-        return ("S^{lam,+}", "S^{lam,-}") if odd else ("S^lam",)
-    if context == "an":
-        return ("T^lam",) if odd else ("T^{lam,+}", "T^{lam,-}")
-    raise PartitionError(f"unknown context {context!r}")
+# context -> spin parity -> (module labels, bound on l_p)
+CONTEXTS: dict[str, dict[str, tuple[tuple[str, ...], int]]] = {
+    "super": {"odd": (("S^lam [type Q]",), 0), "even": (("S^lam [type M]",), 1)},
+    "sn": {"odd": (("S^{lam,+}", "S^{lam,-}"), 1), "even": (("S^lam",), 0)},
+    "an": {"odd": (("T^lam",), 0), "even": (("T^{lam,+}", "T^{lam,-}"), 1)},
+}
 
 
 def classify_irreducible(lam: Partition, context: str) -> IrredVerdict:
     """Irreducibility of the modules labelled by lam in the given context.
 
     The criterion is always "homogeneous and l_p small", where the
-    bound on l_p (0 or 1) depends on the context and the spin parity:
-    the relaxed bound 1 applies to supermodules of even partitions, the
-    module pairs of odd partitions, and alternating-side pairs of even
-    partitions.  A conjectural homogeneity verdict propagates whenever
-    it is the deciding factor.
+    bound on l_p (0 or 1) is read from ``CONTEXTS`` by context and spin
+    parity.  A conjectural homogeneity verdict propagates whenever it is
+    the deciding factor.
     """
     verdict = classify_homogeneous(lam)
-    lp = parity_stats(lam, 3).l_p
-    odd = is_odd_partition(lam)
-    if context == "super":
-        bound = 0 if odd else 1
-    elif context == "sn":
-        bound = 1 if odd else 0
-    elif context == "an":
-        bound = 0 if odd else 1
-    else:
+    if context not in CONTEXTS:
         raise PartitionError(f"unknown context {context!r}")
-    labels = _label_names(lam, context)
-    if lp > bound:
+    stats = parity_stats(lam, 3)
+    labels, bound = CONTEXTS[context][stats.spin_parity]
+    if stats.l_p > bound:
         return IrredVerdict(context, labels, False, True)
     return IrredVerdict(context, labels, verdict.homogeneous, verdict.proven)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import barcores, branching, classify, dimensions, families, ladders, tableaux, verify, wreath
-from .partitions import PartitionError, check_odd_prime, format_partition, parse_partition, strict_partitions_of
+from .partitions import PSTRICT, SHAPES, PartitionError, check_odd_prime, format_partition, parse_partition, strict_partitions_of
 
 
 def _emit(obj) -> None:
@@ -202,58 +202,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinhom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    # the arguments several subcommands share, declared once
+    shared = {"partition": {}, "--p": {"type": int, "default": 3}}
+
+    def add(name, fn, help, *common):
+        sp = sub.add_parser(name, help=help)
         sp.set_defaults(fn=fn)
+        for arg in common:
+            sp.add_argument(arg, **shared[arg])
         return sp
 
-    sp = add("reg", cmd_reg, help="regularise a p-strict partition")
-    sp.add_argument("partition")
-    sp.add_argument("--p", type=int, default=3)
+    add("reg", cmd_reg, "regularise a p-strict partition", "partition", "--p")
+    add("core", cmd_core, "p-bar core and weight", "partition", "--p")
 
-    sp = add("core", cmd_core, help="p-bar core and weight")
-    sp.add_argument("partition")
-    sp.add_argument("--p", type=int, default=3)
-
-    sp = add("block", cmd_block, help="list the partitions of a block")
+    sp = add("block", cmd_block, "list the partitions of a block", "--p")
     sp.add_argument("--core", required=True)
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--filter", choices=["strict", "pstrict", "restricted"], default="pstrict")
+    sp.add_argument("--filter", choices=list(SHAPES), default=PSTRICT)
 
-    sp = add("branch", cmd_branch, help="branching operators")
-    sp.add_argument("partition")
-    sp.add_argument("--p", type=int, default=3)
+    sp = add("branch", cmd_branch, "branching operators", "partition", "--p")
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--op", required=True,
                     choices=["tilde-e", "tilde-f", "down", "up", "normal-down", "normal-up", "multiset"])
     sp.add_argument("--direction", choices=["down", "up"], default="down",
                     help="direction for --op multiset")
 
-    sp = add("dim", cmd_dim, help="bar-length dimension")
-    sp.add_argument("partition")
+    add("dim", cmd_dim, "bar-length dimension", "partition")
+    add("ddeg", cmd_ddeg, "reduced degree", "partition", "--p")
+    add("witness", cmd_witness, "smaller-degree partner in the regularisation fibre", "partition", "--p")
 
-    sp = add("ddeg", cmd_ddeg, help="reduced degree")
-    sp.add_argument("partition")
-    sp.add_argument("--p", type=int, default=3)
-
-    sp = add("witness", cmd_witness, help="smaller-degree partner in the regularisation fibre")
-    sp.add_argument("partition")
-    sp.add_argument("--p", type=int, default=3)
-
-    sp = add("sst", cmd_sst, help="standard shifted tableaux as JSON lines")
-    sp.add_argument("partition")
+    sp = add("sst", cmd_sst, "standard shifted tableaux as JSON lines", "partition", "--p")
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--residue-words", action="store_true")
 
-    sp = add("lr", cmd_lr, help="Littlewood-Richardson coefficients")
+    sp = add("lr", cmd_lr, "Littlewood-Richardson coefficients")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--gamma")
     sp.add_argument("--nu", required=True)
 
-    sp = add("cartan", cmd_cartan, help="wreath-product Cartan values")
+    sp = add("cartan", cmd_cartan, "wreath-product Cartan values")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--nu")
     sp.add_argument("--pi")
@@ -261,27 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--decomp", help="decomposition matrix file for --char3")
     sp.add_argument("--mu", help="p-regular column label for --char3")
 
-    sp = add("classify", cmd_classify, help="homogeneity / irreducibility verdict")
-    sp.add_argument("partition")
-    sp.add_argument("--context", choices=["homogeneity", "super", "sn", "an"], default="homogeneity")
+    sp = add("classify", cmd_classify, "homogeneity / irreducibility verdict", "partition")
+    sp.add_argument("--context", choices=["homogeneity", *classify.CONTEXTS], default="homogeneity")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
-    sp = add("enumerate", cmd_enumerate, help="classify every strict partition of n")
+    sp = add("enumerate", cmd_enumerate, "classify every strict partition of n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--filter", choices=["homogeneous", "all"], default="all")
     sp.add_argument("--special", choices=["include", "exclude", "only"], default="include")
     sp.add_argument("--include-conjectural", action="store_true")
 
-    sp = add("family", cmd_family, help="named degree / chain families by id and l")
+    sp = add("family", cmd_family, "named degree / chain families by id and l")
     sp.add_argument("--id", required=True)
     sp.add_argument("--l", type=int, required=True)
 
-    sp = add("verify", cmd_verify, help="run a verification suite (TSV rows)")
+    sp = add("verify", cmd_verify, "run a verification suite (TSV rows)", "--p")
     sp.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
-    sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--max-l", type=int, default=12, help="family index bound for the degrees suite")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes, 1 to the CPU count")
     sp.add_argument("--seed", type=int, default=0)
 
     return parser

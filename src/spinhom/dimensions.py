@@ -31,7 +31,7 @@ from math import factorial, prod
 
 from .barcores import reg_preimages
 from .ladders import is_p_odd, regularize
-from .partitions import Partition, PartitionError, is_strict, parity_stats
+from .partitions import STRICT, Partition, parity_stats, require_shape
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def _tableau_factor(lam: Partition) -> int:
 
 
 def spin_dim(lam: Partition) -> DimensionReport:
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
     n = sum(lam)
     two_exp = (n - len(lam) + 1) // 2
     g = _tableau_factor(lam)
@@ -75,8 +74,7 @@ def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
     Their product is 2^l_p(lam); the exponents (l_p +- (x - y))/2 are
     non-negative integers (checked, not assumed).
     """
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
     stats = parity_stats(lam, p)
     x = stats.x
     y = 1 if is_p_odd(lam, p) else 0

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .partitions import (
-    Partition,
-    PartitionError,
-    is_p_strict,
-    is_restricted,
-    is_strict,
-    part,
-)
+from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
 # Entries kept by the memos of ``regularize``, ``branching.boundary_nodes``
 # and ``branching.signature``.  The residue checks of one partition and the
@@ -64,8 +57,7 @@ def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
 
 def content(lam: Partition, p: int) -> dict[int, int]:
     """Residue multiset of all nodes, as a residue -> count dict."""
-    if not is_p_strict(lam, p):
-        raise PartitionError(f"{lam} is not {p}-strict")
+    require_shape(lam, PSTRICT, p)
     counts: Counter[int] = Counter()
     for r, c in nodes(lam):
         counts[residue(r, c, p)] += 1
@@ -119,8 +111,7 @@ def regularize(lam: Partition, p: int) -> Partition:
     ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
     input that raises is never stored.
     """
-    if not is_p_strict(lam, p):
-        raise PartitionError(f"{lam} is not {p}-strict")
+    require_shape(lam, PSTRICT, p)
     profile = ladder_profile(lam, p)
     row_cells: Counter[int] = Counter()
     cells: set[tuple[int, int]] = set()
@@ -200,16 +191,15 @@ def _boundary_by_ladder(lam: Partition, p: int, mode: str) -> tuple[Counter, Cou
 
 def ladder_stats(lam: Partition, p: int, l: int) -> LadderStats:
     """All per-ladder counts for ladder l (zeros for l < 0)."""
-    if not is_p_strict(lam, p):
-        raise PartitionError(f"{lam} is not {p}-strict")
+    require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
     if l < 0:
         z = 0 if strict else None
         return LadderStats(l, 0, 0, 0, z, z, 0, 0 if p >= 5 else None)
     lad = sum(1 for r, c in nodes(lam) if ladder_index(r, c, p) == l)
-    badds, brems = _boundary_by_ladder(lam, p, "pstrict")
+    badds, brems = _boundary_by_ladder(lam, p, PSTRICT)
     if strict:
-        sadds, srems = _boundary_by_ladder(lam, p, "strict")
+        sadds, srems = _boundary_by_ladder(lam, p, STRICT)
         add, rem = sadds[l], srems[l]
     else:
         add = rem = None
@@ -253,11 +243,10 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     Counts in negative ladders are zero; the l == 0 case of the
     residue-0 identity carries a -1 correction.
     """
-    if not is_p_strict(lam, p):
-        raise PartitionError(f"{lam} is not {p}-strict")
+    require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
-    badds, brems = _boundary_by_ladder(lam, p, "pstrict")
-    sadds, srems = _boundary_by_ladder(lam, p, "strict") if strict else (Counter(), Counter())
+    badds, brems = _boundary_by_ladder(lam, p, PSTRICT)
+    sadds, srems = _boundary_by_ladder(lam, p, STRICT) if strict else (Counter(), Counter())
     profile = Counter(ladder_profile(lam, p))
     reg = regularize(lam, p)
 

@@ -15,6 +15,9 @@ odd prime p:
   ``lam[r] - lam[r+1] < p``, or ``== p`` with ``lam[r]`` not divisible
   by p.  The gap condition is applied to the last part as well (against
   a trailing zero), so e.g. (3,) is p-strict but not restricted at p=3.
+
+``SHAPES`` names the three classes, and ``require_shape`` is the one
+check every entry point makes of its input's class.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def parse_partition(text: str) -> Partition:
     A token ``a..b`` abbreviates ``run_down(a, b)``, the run a, a-3, ...,
     b, and requires a >= b with a == b (mod 3).  Input order is
     irrelevant: the parts are sorted decreasingly, so the parser accepts
-    any ordering and strictness is a separate check (``classify_shape``).
+    any ordering and strictness is a separate check (``require_shape``).
     """
     text = text.strip()
     if text in ("", "-", "0", "∅"):
@@ -120,6 +123,35 @@ def is_restricted(lam: Partition, p: int) -> bool:
             continue
         return False
     return True
+
+
+STRICT = "strict"
+PSTRICT = "pstrict"
+RESTRICTED = "restricted"
+
+# name -> message noun of each shape class, in the order the CLI lists them
+SHAPES: dict[str, str] = {
+    STRICT: "strict",
+    PSTRICT: "{p}-strict",
+    RESTRICTED: "restricted {p}-strict",
+}
+
+
+def has_shape(lam: Partition, shape: str, p: int | None = None) -> bool:
+    """True if lam is in the named class of ``SHAPES`` (p unused for strict)."""
+    if shape == STRICT:
+        return is_strict(lam)
+    if shape == PSTRICT:
+        return is_p_strict(lam, p)
+    if shape == RESTRICTED:
+        return is_restricted(lam, p)
+    raise PartitionError(f"unknown shape {shape!r}")
+
+
+def require_shape(lam: Partition, shape: str, p: int | None = None) -> None:
+    """Raise PartitionError, e.g. ``(3, 3) is not strict``, unless lam has the shape."""
+    if not has_shape(lam, shape, p):
+        raise PartitionError(f"{lam} is not {SHAPES[shape].format(p=p)}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .ladders import residue
-from .partitions import Partition, PartitionError, contains, is_strict
+from .partitions import STRICT, Partition, PartitionError, contains, is_strict, require_shape
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def _drop(lam: Partition, r: int) -> Partition:
 
 def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
     """Every standard shifted tableau of shape lam, exactly once."""
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
     n = sum(lam)
     if n == 0:
         yield ShiftedTableau(())
@@ -104,6 +103,8 @@ def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
 
 @lru_cache(maxsize=None)
 def count_sst(lam: Partition) -> int:
+    """The number of standard shifted tableaux of the strict shape lam."""
+    require_shape(lam, STRICT)
     if sum(lam) == 0:
         return 1
     return sum(count_sst(_drop(lam, r)) for r in _strict_corners(lam))
@@ -123,8 +124,7 @@ def find_patterned_tableau(
     malformed.  Returns the first tableau found by depth-first search,
     or None.
     """
-    if not is_strict(lam):
-        raise PartitionError(f"{lam} is not strict")
+    require_shape(lam, STRICT)
     if not contains(lam, prefix_shape):
         raise PartitionError("prefix shape must sit inside the outer shape")
     pre = list(prefix_shape) + [0] * (len(lam) - len(prefix_shape))

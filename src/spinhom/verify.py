@@ -33,6 +33,7 @@ identical for every thread count.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -44,6 +45,7 @@ from .partitions import (
     Partition,
     check_odd_prime,
     conjugate,
+    contains,
     format_partition,
     is_odd_partition,
     is_restricted,
@@ -379,7 +381,7 @@ def suite_wreath(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
             v = wreath.wreath_cartan_p(mu, matrix)
             rows.append(_row(format_partition(mu), "cartan3_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1))
     rng = random.Random(seed)
-    candidates = [nu for d in range(3, min(max_d, 6) + 1) for nu in partitions_of(d) if (2, 1) != nu and wreath._skew_ok(nu, (2, 1))]
+    candidates = [nu for d in range(3, min(max_d, 6) + 1) for nu in partitions_of(d) if (2, 1) != nu and contains(nu, (2, 1))]
     for nu in rng.sample(candidates, min(6, len(candidates))):
         d = sum(nu)
         bound = 0
@@ -506,12 +508,19 @@ def run_suite(
     seed: int = 0,
     max_l: int = 12,
 ) -> list[Row]:
-    """Rows of one suite; ``max_n`` defaults to the suite's entry in ``SUITES``."""
+    """Rows of one suite; ``max_n`` defaults to the suite's entry in ``SUITES``.
+
+    ``threads`` must lie between 1 and the CPU count.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
     check_odd_prime(p)
     if name not in suites_at(p):
         raise ValueError(f"suite {name} is defined at p=3 only, got p={p}")
+    # a pool forks all its workers at once, so cap them at the CPU count
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"threads must be between 1 and {cpus}, got {threads}")
     fn, max_n_p3, max_n_other = SUITES[name]
     if max_n is None:
         max_n = max_n_p3 if p == 3 else max_n_other

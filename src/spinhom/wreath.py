@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .partitions import Partition, PartitionError, check_odd_prime, conjugate, format_partition, parse_partition, partitions_of
+from .partitions import Partition, PartitionError, check_odd_prime, conjugate, contains, format_partition, parse_partition, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -33,7 +33,7 @@ def lr2(alpha: Partition, beta: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^nu_{alpha, beta}."""
     if sum(alpha) + sum(beta) != sum(nu):
         return 0
-    if not _skew_ok(nu, alpha):
+    if not contains(nu, alpha):
         return 0
     if not beta:
         return 1
@@ -72,10 +72,6 @@ def lr2(alpha: Partition, beta: Partition, nu: Partition) -> int:
         return total
 
     return rec(0, (0,) * k, {})
-
-
-def _skew_ok(nu: Partition, alpha: Partition) -> bool:
-    return len(alpha) <= len(nu) and all(alpha[r] <= nu[r] for r in range(len(alpha)))
 
 
 _conjugate = lru_cache(maxsize=None)(conjugate)
@@ -214,9 +210,9 @@ def load_decomp_matrix(source: str) -> DecompMatrix:
     return parse_decomp_matrix(text)
 
 
-def bundled_decomp_matrix(d: int, p: int = 3) -> DecompMatrix:
+def bundled_decomp_matrix(d: int) -> DecompMatrix:
     """Decomposition matrix shipped with the package (p=3, d <= 6)."""
-    name = f"s{d}_p{p}.txt"
+    name = f"s{d}_p3.txt"
     data = resources.files("spinhom").joinpath("data/decomp").joinpath(name)
     return parse_decomp_matrix(data.read_text(encoding="utf-8"))
 

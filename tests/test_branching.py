@@ -206,6 +206,17 @@ def test_signature_never_stores_a_failure():
     assert signature.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("i", [-1, 2, 9])
+def test_branch_multiset_rejects_residue_out_of_range(i):
+    # the same range check as boundary_nodes, in both directions
+    for direction in ("down", "up"):
+        with pytest.raises(PartitionError, match=rf"^residue {i} out of range for p=3$"):
+            branch_multiset((5, 4), i, 3, direction)
+        with pytest.raises(PartitionError, match=rf"^residue {i} out of range for p=3$"):
+            extremal((5, 4), i, 3, direction)
+    assert branch_multiset((3,), 2, 5, "down") == [((2,), 1)]  # in range at p = 5
+
+
 def test_boundary_nodes_never_stores_a_failure():
     boundary_nodes.cache_clear()
     for _ in range(2):

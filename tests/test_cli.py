@@ -79,6 +79,27 @@ def test_sst(capsys):
     assert lines == [{"rows": [[1, 2], [3]], "residues": [0, 1, 0]}]
 
 
+@pytest.mark.parametrize(
+    "argv, lam",
+    [(["sst", "3,3"], "(3, 3)"), (["sst", "3,3", "--count-only"], "(3, 3)"), (["sst", "1,1", "--count-only"], "(1, 1)")],
+)
+def test_sst_rejects_non_strict_shape(capsys, argv, lam):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lam} is not strict\n"
+
+
+@pytest.mark.parametrize("op", ["multiset", "down", "up", "tilde-e", "tilde-f", "normal-down", "normal-up"])
+@pytest.mark.parametrize("i", ["9", "-1"])
+def test_branch_residue_out_of_range(capsys, op, i):
+    lam = "5,4" if op in ("multiset", "down", "up") else "4,2,1"  # the tilde ops need a restricted lam
+    assert main(["branch", lam, "--i", i, "--op", op]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: residue {i} out of range for p=3\n"
+
+
 def test_lr_and_cartan(capsys):
     code, out = run(capsys, "lr", "--alpha", "1", "--beta", "1", "--gamma", "1", "--nu", "2,1")
     assert json.loads(out) == {"coefficient": 2}
@@ -282,6 +303,23 @@ def test_verify_output_guards_hold_under_python_O():
         optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=120)
         assert plain.returncode == 0 and optimised.returncode == 0, suite
         assert plain.stdout and optimised.stdout == plain.stdout, suite
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "cpus+1", "100000"])
+def test_verify_threads_out_of_range(capsys, monkeypatch, threads):
+    # no pool may be built, so an out-of-range value starts no process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    cpus = os.cpu_count() or 1
+    threads = str(cpus + 1) if threads == "cpus+1" else threads
+    assert main(["verify", "--suite", "ladders", "--max-n", "6", "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threads must be between 1 and {cpus}, got {threads}\n"
+    code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", "--threads", "1")
+    assert code == 0 and out
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -3,19 +3,23 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from spinhom import barcores, branching, classify, dimensions, ladders, tableaux
 from spinhom.partitions import (
+    SHAPES,
     PartitionError,
     check_odd_prime,
     classify_shape,
     conjugate,
     dominates,
     format_partition,
+    has_shape,
     is_p_strict,
     join,
     parity_stats,
     parse_partition,
     partitions_of,
     p_strict_partitions_of,
+    require_shape,
     restricted_partitions_of,
     scaled_add,
     strict_partitions_of,
@@ -146,3 +150,59 @@ def test_enumeration_counts():
         for lam in p_strict_partitions_of(n, 3):
             assert is_p_strict(lam, 3)
         assert set(restricted_partitions_of(n, 3)) <= set(p_strict_partitions_of(n, 3))
+
+
+# every public entry point that checks its input's shape class, with the
+# exact text it raises; the domains of boundary_nodes' modes and
+# block_members' filters stay as narrow as they were
+SHAPE_ERRORS = [
+    ("ladders.content", lambda: ladders.content((2, 2), 3), "(2, 2) is not 3-strict"),
+    ("ladders.regularize", lambda: ladders.regularize((2, 2), 3), "(2, 2) is not 3-strict"),
+    ("ladders.ladder_stats", lambda: ladders.ladder_stats((2, 2), 3, 0), "(2, 2) is not 3-strict"),
+    ("ladders.check_ladder_identities", lambda: ladders.check_ladder_identities((4, 4), 5), "(4, 4) is not 5-strict"),
+    ("barcores.bar_removals", lambda: barcores.bar_removals((2, 2), 3), "(2, 2) is not 3-strict"),
+    ("barcores.bar_core", lambda: barcores.bar_core((2, 2), 3), "(2, 2) is not 3-strict"),
+    ("barcores.reg_preimages", lambda: barcores.reg_preimages((3,), 3), "(3,) is not restricted 3-strict"),
+    ("barcores.block_members", lambda: barcores.block_members((4, 1), 2, 3, "bogus"), "unknown shape filter 'bogus'"),
+    ("branching.boundary_nodes strict", lambda: branching.boundary_nodes((3, 3), 0, 3, "strict"), "(3, 3) is not strict"),
+    ("branching.boundary_nodes pstrict", lambda: branching.boundary_nodes((2, 2), 0, 3, "pstrict"), "(2, 2) is not 3-strict"),
+    ("branching.boundary_nodes mode", lambda: branching.boundary_nodes((2, 1), 0, 3, "restricted"), "unknown mode 'restricted'"),
+    ("branching.boundary_nodes residue", lambda: branching.boundary_nodes((2, 1), 2, 3, "strict"), "residue 2 out of range for p=3"),
+    ("branching.signature", lambda: branching.signature((3,), 0, 3), "(3,) is not restricted 3-strict"),
+    ("branching.tilde_e", lambda: branching.tilde_e((3,), 0, 3), "(3,) is not restricted 3-strict"),
+    ("branching.extremal", lambda: branching.extremal((3, 3), 0, 3, "down"), "(3, 3) is not strict"),
+    ("branching.branch_multiset", lambda: branching.branch_multiset((3, 3), 0, 3, "down"), "(3, 3) is not strict"),
+    ("branching.branch_multiset residue", lambda: branching.branch_multiset((5, 4), 9, 3, "down"), "residue 9 out of range for p=3"),
+    ("classify.classify_homogeneous", lambda: classify.classify_homogeneous((3, 3)), "(3, 3) is not strict"),
+    ("classify.homogeneity_obstruction", lambda: classify.homogeneity_obstruction((3, 3)), "(3, 3) is not strict"),
+    ("classify.classify_irreducible", lambda: classify.classify_irreducible((3, 3), "sn"), "(3, 3) is not strict"),
+    ("classify.classify_irreducible context", lambda: classify.classify_irreducible((2, 1), "bogus"), "unknown context 'bogus'"),
+    ("dimensions.spin_dim", lambda: dimensions.spin_dim((3, 3)), "(3, 3) is not strict"),
+    ("dimensions.regn_multiplicity", lambda: dimensions.regn_multiplicity((3, 3), 3), "(3, 3) is not strict"),
+    ("dimensions.degree_witness", lambda: dimensions.degree_witness((3, 3), 3), "(3, 3) is not strict"),
+    ("tableaux.enumerate_sst", lambda: list(tableaux.enumerate_sst((3, 3))), "(3, 3) is not strict"),
+    ("tableaux.count_sst", lambda: tableaux.count_sst((3, 3)), "(3, 3) is not strict"),
+    ("tableaux.find_patterned_tableau", lambda: tableaux.find_patterned_tableau((3, 3), (), 3), "(3, 3) is not strict"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in SHAPE_ERRORS], ids=[case[0] for case in SHAPE_ERRORS])
+def test_shape_error_messages(call, message):
+    with pytest.raises(PartitionError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_require_shape_table():
+    assert list(SHAPES) == ["strict", "pstrict", "restricted"]
+    for lam, p in (((5, 4, 3, 2, 1), 3), ((3, 3), 3), ((2, 2), 3), ((3,), 3), ((6, 4, 1), 3), ((5, 5, 1), 5)):
+        flags = classify_shape(lam, p)
+        for shape, flag in zip(SHAPES, (flags.is_strict, flags.is_p_strict, flags.is_restricted)):
+            assert has_shape(lam, shape, p) == flag, (lam, shape)
+            if flag:
+                require_shape(lam, shape, p)
+            else:
+                with pytest.raises(PartitionError, match=r"is not "):
+                    require_shape(lam, shape, p)
+    with pytest.raises(PartitionError, match="unknown shape 'bogus'"):
+        has_shape((1,), "bogus", 3)

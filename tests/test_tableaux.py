@@ -22,6 +22,14 @@ def test_small_counts():
     assert len(list(enumerate_sst((3, 2, 1)))) == 2
 
 
+def test_count_sst_rejects_non_strict_shapes():
+    # memoised, so check twice: a failure must not be stored as a count
+    for _ in range(2):
+        for lam in ((3, 3), (1, 1), (4, 2, 2)):
+            with pytest.raises(PartitionError, match=r"is not strict$"):
+                count_sst(lam)
+
+
 def test_counts_match_bar_length_factor():
     for n in range(13):
         for lam in strict_partitions_of(n):
