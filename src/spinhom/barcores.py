@@ -26,7 +26,6 @@ from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, 
 @dataclass(frozen=True)
 class BarRemoval:
     kind: str  # "decrease" or "delete_pair"
-    rows: tuple[int, ...]
     result: Partition
 
 
@@ -45,7 +44,7 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
         result = tuple(sorted((x for x in rest if x > 0), reverse=True))
         if not is_p_strict(result, p):
             raise RuntimeError(f"lowering part {a} of {lam} by {p} gives {result}, not {p}-strict")
-        out.append(BarRemoval("decrease", (r,), result))
+        out.append(BarRemoval("decrease", result))
     for r in range(len(lam)):
         for s in range(r + 1, len(lam)):
             if lam[r] + lam[s] == p:
@@ -53,7 +52,7 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
                 result = tuple(rest)
                 if not is_p_strict(result, p):
                     raise RuntimeError(f"deleting parts {lam[r]}, {lam[s]} of {lam} gives {result}, not {p}-strict")
-                out.append(BarRemoval("delete_pair", (r + 1, s + 1), result))
+                out.append(BarRemoval("delete_pair", result))
     return out
 
 

@@ -58,6 +58,11 @@ def _require_residue(i: int, p: int) -> None:
         raise PartitionError(f"residue {i} out of range for p={p}")
 
 
+def _require_direction(direction: str) -> None:
+    if direction not in ("down", "up"):
+        raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
+
+
 def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
     """Per row, the farthest signed change occurring in a valid joint i-move.
 
@@ -132,7 +137,6 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
 
 @dataclass(frozen=True)
 class SignatureReport:
-    boundary: tuple[tuple[Node, str], ...]  # ((r, c), "+" or "-") by column
     raw: str
     reduced: str
     normals: tuple[Node, ...]
@@ -171,7 +175,7 @@ def signature(mu: Partition, i: int, p: int) -> SignatureReport:
         raise RuntimeError(f"reduced {i}-signature {reduced} of {mu} is not of the form -...+")
     normals = tuple(entries[k][0] for k in stack if entries[k][1] == "-")
     conormals = tuple(entries[k][0] for k in stack if entries[k][1] == "+")
-    return SignatureReport(tuple(entries), raw, reduced, normals, conormals)
+    return SignatureReport(raw, reduced, normals, conormals)
 
 
 def _with_row(lam: Partition, r: int, value: int) -> Partition:
@@ -217,8 +221,7 @@ def phi_i(mu: Partition, i: int, p: int) -> int:
 
 def normal_extremal(mu: Partition, i: int, p: int, direction: str) -> Partition:
     """Iterate tilde_e (direction "down") or tilde_f ("up") to exhaustion."""
-    if direction not in ("down", "up"):
-        raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
+    _require_direction(direction)
     out = mu
     if direction == "down":
         for _ in range(eps_i(mu, i, p)):
@@ -246,8 +249,7 @@ def extremal(lam: Partition, i: int, p: int, direction: str) -> ExtremalResult:
     set of boundary nodes can be moved at once is checked rather than
     assumed.
     """
-    if direction not in ("down", "up"):
-        raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
+    _require_direction(direction)
     adds, rems = boundary_nodes(lam, i, p, STRICT)
     moved = adds if direction == "up" else rems
     rows = list(lam) + [0]
@@ -280,8 +282,7 @@ def branch_multiset(lam: Partition, i: int, p: int, direction: str) -> list[tupl
     """
     require_shape(lam, STRICT)
     _require_residue(i, p)
-    if direction not in ("down", "up"):
-        raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
+    _require_direction(direction)
     lam_odd = is_odd_partition(lam)
     out: list[tuple[Partition, int]] = []
     top = len(lam) if direction == "down" else len(lam) + 1

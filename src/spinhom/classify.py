@@ -32,7 +32,7 @@ from .barcores import bar_removals
 from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
 from .dimensions import degree_witness
 from .ladders import regularize
-from .partitions import STRICT, Partition, PartitionError, conjugate, parity_stats, require_shape
+from .partitions import STRICT, Partition, PartitionError, conjugate, is_odd_partition, l_p, require_shape
 
 PROVEN_HOM = "ProvenHomogeneous"
 PROVEN_NOT = "ProvenNotHomogeneous"
@@ -59,7 +59,6 @@ EXCEPTIONAL_HOMOGENEOUS: frozenset[Partition] = frozenset(
 class SpecialDecomposition:
     core: Partition
     alpha: Partition
-    residue_class: int  # 1 or 2, the common residue mod 3 of all parts
 
 
 def special_decompose(lam: Partition) -> SpecialDecomposition | None:
@@ -76,7 +75,7 @@ def special_decompose(lam: Partition) -> SpecialDecomposition | None:
     alpha = tuple(a for a in alpha if a > 0)
     if not all((lam[r] - core[r]) % 3 == 0 and lam[r] >= core[r] for r in range(l)):
         raise RuntimeError(f"{lam} is not its 3-core {core} plus three times a partition")
-    return SpecialDecomposition(core, alpha, i)
+    return SpecialDecomposition(core, alpha)
 
 
 def carter3(alpha: Partition) -> bool:
@@ -227,8 +226,7 @@ def classify_irreducible(lam: Partition, context: str) -> IrredVerdict:
     verdict = classify_homogeneous(lam)
     if context not in CONTEXTS:
         raise PartitionError(f"unknown context {context!r}")
-    stats = parity_stats(lam, 3)
-    labels, bound = CONTEXTS[context][stats.spin_parity]
-    if stats.l_p > bound:
+    labels, bound = CONTEXTS[context]["odd" if is_odd_partition(lam) else "even"]
+    if l_p(lam, 3) > bound:
         return IrredVerdict(context, labels, False, True)
     return IrredVerdict(context, labels, verdict.homogeneous, verdict.proven)

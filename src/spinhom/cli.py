@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (bad partition, violated
-precondition, unknown option value, a --p that is not an odd prime, an
-unreadable or malformed decomposition matrix), 2 when a verification
-suite reports failures or checks nothing.
+precondition, unknown or missing argument or option value, a --p that is
+not an odd prime, an unreadable or malformed decomposition matrix), 2
+when a verification suite reports failures or checks nothing.
 """
 
 from __future__ import annotations
@@ -198,8 +198,13 @@ def cmd_verify(args) -> int:
     return 0 if bad == 0 and not empty else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a rejected argument is bad input: one line, exit 1
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spinhom", description=__doc__)
+    parser = _Parser(prog="spinhom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the arguments several subcommands share, declared once
@@ -274,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "p"):
             check_odd_prime(args.p)
         return args.fn(args)

@@ -31,7 +31,7 @@ from math import factorial, prod
 
 from .barcores import reg_preimages
 from .ladders import is_p_odd, regularize
-from .partitions import STRICT, Partition, parity_stats, require_shape
+from .partitions import STRICT, Partition, is_odd_partition, l_p, require_shape
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,6 @@ def spin_dim(lam: Partition) -> DimensionReport:
 class RegnMultiplicities:
     s_to_d: int
     p_to_s: int
-    x: int
-    y: int
 
 
 def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
@@ -75,20 +73,17 @@ def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
     non-negative integers (checked, not assumed).
     """
     require_shape(lam, STRICT)
-    stats = parity_stats(lam, p)
-    x = stats.x
-    y = 1 if is_p_odd(lam, p) else 0
-    up, down = stats.l_p + x - y, stats.l_p + y - x
+    lp, x, y = l_p(lam, p), is_odd_partition(lam), is_p_odd(lam, p)
+    up, down = lp + x - y, lp + y - x
     if up % 2 or up < 0 or down < 0:
         raise RuntimeError(f"regularisation exponents {up}/2, {down}/2 of {lam} at p={p}")
-    return RegnMultiplicities(1 << (up // 2), 1 << (down // 2), x, y)
+    return RegnMultiplicities(1 << (up // 2), 1 << (down // 2))
 
 
 def ddeg(lam: Partition, p: int) -> int:
     """Reduced degree: dimension divided by the regularisation multiplicity."""
     report = spin_dim(lam)
-    stats = parity_stats(lam, p)
-    exp = (sum(lam) - len(lam) - stats.l_p + 1) // 2
+    exp = (sum(lam) - len(lam) - l_p(lam, p) + 1) // 2
     value = (1 << exp) * report.g
     if value * regn_multiplicity(lam, p).s_to_d != report.dim:
         raise RuntimeError(f"ddeg {value} times the multiplicity is not dim {report.dim} on {lam} at p={p}")

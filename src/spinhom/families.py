@@ -55,8 +55,8 @@ class DegreeFamily:
     quotient r(l+1)/r(l) of those ratios.  ``formula_range`` lists the l
     at which the closed form applies; ``greater_range`` the l at which
     ddeg(lam(l)) > ddeg(mu(l)) is asserted; ``equal_at`` the l with
-    exact equality.  ``same_reg`` records whether the pair shares its
-    regularisation at every listed l; all registered families do.
+    exact equality.  Every family's pair shares its regularisation at
+    every listed l.
     """
 
     name: str
@@ -68,16 +68,11 @@ class DegreeFamily:
     greater_range: tuple[int, int]
     equal_at: tuple[int, ...] = ()
     extra_greater: tuple[int, ...] = ()
-    same_reg: bool = True
 
     @property
     def first_index(self) -> int:
         """The smallest l the family declares in any of its ranges."""
         return min(self.formula_range[0], self.greater_range[0], *self.extra_greater)
-
-
-def _f(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
 
 
 def _deglem1_mu(l: int) -> Partition:
@@ -105,7 +100,7 @@ _register(DegreeFamily(
     lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1),
     _deglem1_mu,
     "consecutive",
-    lambda l: _f((l + 1) * (3 * l + 1) * (3 * l + 8), l * (3 * l + 5) * (3 * l + 7)),
+    lambda l: Fraction((l + 1) * (3 * l + 1) * (3 * l + 8), l * (3 * l + 5) * (3 * l + 7)),
     (3, 12),
     (4, 12),
     equal_at=(3,),
@@ -116,7 +111,7 @@ _register(DegreeFamily(
     lambda l: run_down(3 * l, 3),
     lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
     "consecutive",
-    lambda l: _f(l * l * (6 * l - 5) * (6 * l - 1), (2 * l - 1) ** 2 * (3 * l - 2) * (3 * l + 2)),
+    lambda l: Fraction(l * l * (6 * l - 5) * (6 * l - 1), (2 * l - 1) ** 2 * (3 * l - 2) * (3 * l + 2)),
     (3, 12),
     (3, 12),
 ))
@@ -126,7 +121,7 @@ _register(DegreeFamily(
     lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
     lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         (l - 2) ** 2 * (2 * l - 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 11) * (6 * l - 7),
         (2 * l - 5) ** 2 * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 4) * (6 * l - 5) * (6 * l - 1),
     ),
@@ -139,7 +134,7 @@ _register(DegreeFamily(
     lambda l: (3 * l, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
     lambda l: (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         (l - 3) * l ** 3 * (2 * l - 5) ** 2 * (2 * l - 1) * (3 * l - 7) * (3 * l - 5)
         * (3 * l - 4) ** 2 * (3 * l + 5) * (6 * l - 11) ** 2 * (6 * l - 7) * (6 * l + 1),
         (l - 2) ** 4 * (l + 2) * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 1)
@@ -154,7 +149,7 @@ _register(DegreeFamily(
     lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
     lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         (l - 3) * (l - 1) ** 2 * l * (l + 2) * (2 * l - 5) ** 2 * (3 * l - 7) * (3 * l - 5)
         * (3 * l - 1) ** 2 * (3 * l + 1) * (3 * l + 4) * (6 * l - 11) ** 2 * (6 * l - 7),
         (l - 2) ** 4 * (l + 1) ** 2 * (2 * l - 3) * (3 * l - 8) * (3 * l - 2) ** 3
@@ -170,7 +165,7 @@ _register(DegreeFamily(
     lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
     lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 6, 3 * l - 8) + run_down(3 * l - 12, 6) + (2,),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         (l - 4) * (l - 1) ** 3 * (l + 1) * (2 * l - 5) ** 2 * (3 * l - 10) * (3 * l - 8)
         * (3 * l - 4) * (3 * l - 1) * (3 * l + 2) * (6 * l - 1),
         (l - 3) * (l - 2) ** 2 * l ** 3 * (2 * l - 1) * (3 * l - 11) ** 2 * (3 * l - 5)
@@ -186,7 +181,7 @@ _register(DegreeFamily(
     lambda l: ((3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3)) if l <= 7
     else (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         (l - 3) * l ** 3 * (2 * l - 3) ** 2 * (2 * l + 1) * (3 * l - 7) * (3 * l - 5)
         * (3 * l - 2) ** 2 * (3 * l - 1) * (3 * l + 5),
         (l - 2) * (l - 1) ** 3 * (l + 2) * (2 * l - 1) ** 2 * (3 * l - 8) ** 2
@@ -201,7 +196,7 @@ _register(DegreeFamily(
     lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 7) + (3 * l + 3,) + run_down(3 * l + 1, 4),
     lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 4) + (3 * l,) + run_down(3 * l - 2, 4),
     "direct",
-    lambda l: _f(
+    lambda l: Fraction(
         (l + 1) * (3 * l - 1) * (6 * l + 7) * (9 * l + 8) * (9 * l + 10),
         3 * l * (l + 2) * (6 * l + 1) * (9 * l + 7) ** 2,
     ),
@@ -214,7 +209,7 @@ _register(DegreeFamily(
     lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 2, 3 * l) + run_down(3 * l - 4, 2),
     lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 3, 3 * l - 1) + run_down(3 * l - 4, 2),
     "direct",
-    lambda l: _f(
+    lambda l: Fraction(
         (l + 1) * (3 * l - 4) * (6 * l - 1) * (9 * l - 1),
         (l - 1) * (3 * l - 1) * (6 * l + 5) * (9 * l - 2),
     ),
@@ -227,7 +222,7 @@ _register(DegreeFamily(
     lambda l: (3 * l,) + run_down(3 * l - 2, 4) + (3, 1),
     lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1) if l >= 4 else (13, 7, 4),
     "consecutive",
-    lambda l: _f(
+    lambda l: Fraction(
         l * (3 * l + 7) * (3 * l + 10) * (6 * l + 5),
         (l + 2) * (3 * l + 2) * (3 * l + 11) * (6 * l + 1),
     ),

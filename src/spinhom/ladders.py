@@ -1,4 +1,4 @@
-"""Node residues, ladders, regularisation, and per-ladder statistics.
+"""Node residues, ladders, regularisation, and the per-ladder identities.
 
 For an odd prime p the residue of a node (r, c) depends only on the
 column: with b = (c-1) mod p it is min(b, p-1-b), an element of
@@ -41,12 +41,6 @@ def residue(r: int, c: int, p: int) -> int:
 
 def ladder_index(r: int, c: int, p: int) -> int:
     return ((p - 1) * c) // p + (p - 1) * (r - 1)
-
-
-def ladder_residue(l: int, p: int) -> int:
-    """Common residue of all nodes in ladder l."""
-    m = l % (p - 1)
-    return min(m, p - 1 - m)
 
 
 def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
@@ -127,26 +121,6 @@ def regularize(lam: Partition, p: int) -> Partition:
     return out
 
 
-@dataclass(frozen=True)
-class LadderStats:
-    """Counts attached to one ladder of a p-strict partition.
-
-    ``add``/``rem`` use the strict sense of addable/removable and are
-    None unless the partition is strict; ``str_count`` is defined only
-    on ladders of residue 0 (l divisible by p-1) and ``zz`` only on
-    ladders with l not divisible by (p-1)/2, hence never at p=3.
-    """
-
-    l: int
-    lad: int
-    badd: int
-    brem: int
-    add: int | None
-    rem: int | None
-    str_count: int | None
-    zz: int | None
-
-
 def str_count(lam: Partition, p: int, l: int) -> int:
     """Nodes (r, c) of ladder l with c divisible by p, r >= 2 and rows
     (r-1, r, r+1) of lengths exactly (c+1, c, c-1)."""
@@ -187,26 +161,6 @@ def _boundary_by_ladder(lam: Partition, p: int, mode: str) -> tuple[Counter, Cou
         for rr, cc in r:
             rems[ladder_index(rr, cc, p)] += 1
     return adds, rems
-
-
-def ladder_stats(lam: Partition, p: int, l: int) -> LadderStats:
-    """All per-ladder counts for ladder l (zeros for l < 0)."""
-    require_shape(lam, PSTRICT, p)
-    strict = is_strict(lam)
-    if l < 0:
-        z = 0 if strict else None
-        return LadderStats(l, 0, 0, 0, z, z, 0, 0 if p >= 5 else None)
-    lad = sum(1 for r, c in nodes(lam) if ladder_index(r, c, p) == l)
-    badds, brems = _boundary_by_ladder(lam, p, PSTRICT)
-    if strict:
-        sadds, srems = _boundary_by_ladder(lam, p, STRICT)
-        add, rem = sadds[l], srems[l]
-    else:
-        add = rem = None
-    sc = str_count(lam, p, l) if l % (p - 1) == 0 else None
-    half = (p - 1) // 2
-    zz = zz_count(lam, p, l) if (half >= 2 and l % half != 0) else None
-    return LadderStats(l, lad, badds[l], brems[l], add, rem, sc, zz)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ check every entry point makes of its input's class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -154,42 +153,13 @@ def require_shape(lam: Partition, shape: str, p: int | None = None) -> None:
         raise PartitionError(f"{lam} is not {SHAPES[shape].format(p=p)}")
 
 
-@dataclass(frozen=True)
-class ShapeFlags:
-    is_strict: bool
-    is_p_strict: bool
-    is_restricted: bool
-
-
-def classify_shape(lam: Partition, p: int) -> ShapeFlags:
-    """Shape predicates of lam relative to the odd prime p."""
-    check_odd_prime(p)
-    return ShapeFlags(is_strict(lam), is_p_strict(lam, p), is_restricted(lam, p))
-
-
-@dataclass(frozen=True)
-class ParityStats:
-    spin_parity: str  # "even" or "odd"
-    l_p: int
-    length: int
-
-    @property
-    def x(self) -> int:
-        """1 for an odd partition, 0 for an even one."""
-        return 1 if self.spin_parity == "odd" else 0
-
-
-def parity_stats(lam: Partition, p: int) -> ParityStats:
-    """Spin parity (parity of the number of even parts) and l_p.
-
-    l_p counts the positive parts divisible by p.
-    """
-    evens = sum(1 for a in lam if a % 2 == 0)
-    lp = sum(1 for a in lam if a % p == 0)
-    return ParityStats("odd" if evens % 2 else "even", lp, len(lam))
+def l_p(lam: Partition, p: int) -> int:
+    """The number of parts of lam divisible by p."""
+    return sum(1 for a in lam if a % p == 0)
 
 
 def is_odd_partition(lam: Partition) -> bool:
+    """Spin parity: True when lam has an odd number of even parts."""
     return sum(1 for a in lam if a % 2 == 0) % 2 == 1
 
 

@@ -50,8 +50,8 @@ from .partitions import (
     is_odd_partition,
     is_restricted,
     is_strict,
+    l_p,
     p_strict_partitions_of,
-    parity_stats,
     partitions_of,
     run_down,
     scaled_add,
@@ -75,9 +75,17 @@ def _equal(subject, check, detail, lhs, rhs) -> Row:
     return _row(subject, check, detail, lhs, rhs, lhs == rhs)
 
 
+def _require_threads(threads: int) -> None:
+    # a pool forks all its workers at once, so cap them at the CPU count
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"threads must be between 1 and {cpus}, got {threads}")
+
+
 def _fan_out(fn: Callable[[tuple], list[Row]], items: Sequence[tuple], threads: int) -> list[Row]:
     """The rows of fn over items, in order; over a process pool when threads > 1."""
-    if threads <= 1 or len(items) <= 1:
+    _require_threads(threads)
+    if threads == 1 or len(items) <= 1:
         chunks = map(fn, items)
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -297,8 +305,7 @@ def suite_degrees(p: int, max_n: int, threads: int = 1, seed: int = 0, max_l: in
                 rows.append(_equal(name, "ratio_equal_at", f"l={l}", r, 1))
             else:
                 rows.append(_row(name, "ratio_greater", f"l={l}", r, "> 1", r > 1))
-            if fam.same_reg:
-                rows.append(_equal(name, "same_regularisation", f"l={l}", ladders.regularize(fam.lam(l), 3), ladders.regularize(fam.mu(l), 3)))
+            rows.append(_equal(name, "same_regularisation", f"l={l}", ladders.regularize(fam.lam(l), 3), ladders.regularize(fam.mu(l), 3)))
     jobs = [
         (l, tup)
         for l in range(3, min(8, max_l) + 1)
@@ -429,7 +436,7 @@ def _classification_rows(args: tuple[Partition, int]) -> list[Row]:
                     agree = (verdict.status == classify.PROVEN_HOM) == (sub.status == classify.PROVEN_HOM)
                     rows.append(_row(name, "phi_zero_verdict_agrees", f"i={i}", verdict.status, sub.status, agree))
     if verdict.homogeneous:
-        lp = parity_stats(lam, 3).l_p
+        lp = l_p(lam, 3)
         rows.append(_row(name, "homogeneous_lp_bound", verdict.status, lp, "<= 1", lp <= 1))
     return rows
 
@@ -517,10 +524,7 @@ def run_suite(
     check_odd_prime(p)
     if name not in suites_at(p):
         raise ValueError(f"suite {name} is defined at p=3 only, got p={p}")
-    # a pool forks all its workers at once, so cap them at the CPU count
-    cpus = os.cpu_count() or 1
-    if not 1 <= threads <= cpus:
-        raise ValueError(f"threads must be between 1 and {cpus}, got {threads}")
+    _require_threads(threads)
     fn, max_n_p3, max_n_other = SUITES[name]
     if max_n is None:
         max_n = max_n_p3 if p == 3 else max_n_other

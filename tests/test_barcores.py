@@ -37,7 +37,7 @@ def test_bar_core_guard_raises_runtime_error(monkeypatch):
     # a removal that drops four nodes instead of three breaks the size count
     import spinhom.barcores as barcores
 
-    moves = {(5,): [barcores.BarRemoval("decrease", (1,), (1,))], (1,): []}
+    moves = {(5,): [barcores.BarRemoval("decrease", (1,))], (1,): []}
     monkeypatch.setattr(barcores, "bar_removals", lambda lam, p: moves[lam])
     with pytest.raises(RuntimeError, match="does not account"):
         bar_core((5,), 3)

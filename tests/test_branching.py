@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinhom.branching import (
     ExtremalResult,
@@ -266,6 +267,30 @@ def test_tilde_bijection():
                     assert tilde_f(tilde_e(mu, i, 3), i, 3) == mu
                 if phi_i(mu, i, 3):
                     assert tilde_e(tilde_f(mu, i, 3), i, 3) == mu
+
+
+@st.composite
+def _restricted(draw, p, max_n=60):
+    """A restricted p-strict partition of at most max_n, built upwards from its gaps."""
+    parts: list[int] = []
+    for gap in draw(st.lists(st.integers(0, p), max_size=14)):
+        a = (parts[-1] if parts else 0) + gap
+        if a == 0 or sum(parts) + a > max_n:
+            continue
+        if gap == 0 and a % p or gap == p and a % p == 0:
+            continue  # a repeat needs a multiple of p; a gap of p must not end on one
+        parts.append(a)
+    return tuple(reversed(parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5)).flatmap(lambda p: st.tuples(st.just(p), _restricted(p))))
+def test_tilde_f_inverts_tilde_e_where_defined(case):
+    p, mu = case
+    assert is_restricted(mu, p)
+    for i in range((p - 1) // 2 + 1):
+        if eps_i(mu, i, p):
+            assert tilde_f(tilde_e(mu, i, p), i, p) == mu, (mu, i)
 
 
 def test_extremal_examples():

@@ -18,15 +18,15 @@ from spinhom.classify import (
     special_decompose,
 )
 from spinhom.ladders import ladder_positions, regularize
-from spinhom.partitions import PartitionError, parity_stats, scaled_add, strict_partitions_of
+from spinhom.partitions import PartitionError, is_odd_partition, l_p, scaled_add, strict_partitions_of
 from spinhom.verify import matches_module_list
 
 
 def test_special_decompose():
-    assert special_decompose((7, 4)) == SpecialDecomposition((4, 1), (1, 1), 1)
-    assert special_decompose((4, 1)) == SpecialDecomposition((4, 1), (), 1)
+    assert special_decompose((7, 4)) == SpecialDecomposition((4, 1), (1, 1))
+    assert special_decompose((4, 1)) == SpecialDecomposition((4, 1), ())
     assert special_decompose((6, 3)) is None
-    assert special_decompose((5, 2)) == SpecialDecomposition((5, 2), (), 2)
+    assert special_decompose((5, 2)) == SpecialDecomposition((5, 2), ())
     assert special_decompose((2, 1)) is None
     assert special_decompose(()) is None
     dec = special_decompose((11, 5, 2))
@@ -132,7 +132,7 @@ def test_classify_irreducible_examples():
 
 def test_super_bounds():
     # odd partitions need l_3 = 0 as supermodules, even ones allow 1
-    assert parity_stats((3, 2, 1), 3).spin_parity == "odd"
+    assert is_odd_partition((3, 2, 1)) and l_p((3, 2, 1), 3) == 1
     assert classify_irreducible((3, 2, 1), "super").irreducible is False
     assert classify_irreducible((3, 2, 1), "sn").irreducible is True
     assert classify_irreducible((4, 3, 2), "super").irreducible  # even, l_3 = 1

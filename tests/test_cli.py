@@ -314,12 +314,44 @@ def test_verify_threads_out_of_range(capsys, monkeypatch, threads):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     cpus = os.cpu_count() or 1
     threads = str(cpus + 1) if threads == "cpus+1" else threads
-    assert main(["verify", "--suite", "ladders", "--max-n", "6", "--threads", threads]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: threads must be between 1 and {cpus}, got {threads}\n"
+    message = f"threads must be between 1 and {cpus}, got {threads}"
+    # tableaux never fans out, and still refuses the value
+    for suite in ("ladders", "tableaux"):
+        assert main(["verify", "--suite", suite, "--max-n", "6", "--threads", threads]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    # a library call that skips run_suite meets the bound where the pool is built
+    with pytest.raises(ValueError) as exc:
+        verify.suite_ladders(3, 6, threads=int(threads))
+    assert str(exc.value) == message
     code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", "--threads", "1")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "4,3,2", "--context", "bogus"],
+     "argument --context: invalid choice: 'bogus' (choose from 'homogeneity', 'super', 'sn', 'an')"),
+    (["block", "--core", "4,1", "--weight", "2", "--filter", "bogus"],
+     "argument --filter: invalid choice: 'bogus' (choose from 'strict', 'pstrict', 'restricted')"),
+    ([], "the following arguments are required: command"),
+    (["reg", "3,2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["dim"], "the following arguments are required: partition"),
+], ids=["bad-context", "bad-filter", "no-command", "unknown-argument", "missing-partition"])
+def test_argparse_rejections_exit_1_with_one_line(capsys, argv, message):
+    # exit 2 stays reserved for a failed or empty verification
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spinhom")
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinhom.barcores import reg_preimages
 from spinhom.dimensions import (
@@ -16,6 +17,7 @@ from spinhom.dimensions import (
 )
 from spinhom.ladders import regularize
 from spinhom.partitions import PartitionError, is_odd_partition, strict_partitions_of
+from spinhom.tableaux import count_sst
 
 
 def test_spin_dim_frozen_values():
@@ -43,8 +45,8 @@ def test_sum_of_squares_identity():
 
 
 def test_regn_multiplicity():
-    assert regn_multiplicity((2, 1), 3) == RegnMultiplicities(1, 1, 1, 1)
-    assert regn_multiplicity((3,), 3) == RegnMultiplicities(1, 2, 0, 1)
+    assert regn_multiplicity((2, 1), 3) == RegnMultiplicities(1, 1)
+    assert regn_multiplicity((3,), 3) == RegnMultiplicities(1, 2)
     for n in range(1, 16):
         for lam in strict_partitions_of(n):
             for p in (3, 5):
@@ -102,3 +104,13 @@ def test_degree_witness_canonical_choice():
             for order in (fibre, fibre[::-1]):
                 _ranked_fibre.cache_clear()
                 assert [degree_witness(lam, p) for lam in order] == [want[lam] for lam in order], (mu, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 40), unique=True, max_size=8))
+def test_g_counts_standard_shifted_tableaux(parts):
+    parts.sort()
+    while sum(parts) > 40:
+        parts.pop()
+    lam = tuple(reversed(parts))
+    assert spin_dim(lam).g == count_sst(lam)

@@ -81,8 +81,7 @@ def test_family_sizes_and_regs():
             lam, mu = fam.lam(l), fam.mu(l)
             assert is_strict(lam) and is_strict(mu), (name, l)
             assert sum(lam) == sum(mu), (name, l)
-            if fam.same_reg:
-                assert regularize(lam, 3) == regularize(mu, 3), (name, l)
+            assert regularize(lam, 3) == regularize(mu, 3), (name, l)
 
 
 def test_family_formula_spot():

@@ -1,7 +1,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinhom.branching import boundary_nodes
 from spinhom.ladders import (
     check_ladder_identities,
     content,
@@ -9,10 +11,10 @@ from spinhom.ladders import (
     ladder_index,
     ladder_positions,
     ladder_profile,
-    ladder_residue,
-    ladder_stats,
     regularize,
     residue,
+    str_count,
+    zz_count,
 )
 from spinhom.partitions import (
     PartitionError,
@@ -43,9 +45,8 @@ def test_ladder_diagram_p3():
 
 def test_ladders_single_residue():
     for p in (3, 5, 7):
-        for r in range(1, 41):
-            for c in range(1, 41):
-                assert residue(r, c, p) == ladder_residue(ladder_index(r, c, p), p)
+        for l in range(0, 80):
+            assert len({residue(r, c, p) for r, c in ladder_positions(l, p)}) == 1, (p, l)
 
 
 def test_ladder_positions_ascending():
@@ -121,23 +122,46 @@ def test_regularize_properties(p, max_n):
                 assert reg == lam
 
 
+def _strict_nodes_in_ladder(lam, p, l):
+    """Strictly addable and removable nodes of lam in ladder l, over all residues."""
+    counts = [0, 0]
+    for i in range((p - 1) // 2 + 1):
+        for k, found in enumerate(boundary_nodes(lam, i, p, "strict")):
+            counts[k] += sum(1 for r, c in found if ladder_index(r, c, p) == l)
+    return tuple(counts)
+
+
+@st.composite
+def _p_strict(draw, p, max_n=60):
+    """A p-strict partition of at most max_n: distinct parts plus repeated multiples of p."""
+    parts = draw(st.lists(st.integers(1, max_n), unique=True, max_size=10))
+    parts += draw(st.lists(st.integers(1, max_n // p).map(lambda k: k * p), max_size=4))
+    parts.sort()
+    while sum(parts) > max_n:
+        parts.pop()
+    return tuple(reversed(parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5)).flatmap(lambda p: st.tuples(st.just(p), _p_strict(p))))
+def test_regularize_keeps_profile_and_is_idempotent(case):
+    p, lam = case
+    reg = regularize(lam, p)
+    assert ladder_profile(reg, p) == ladder_profile(lam, p)
+    assert is_restricted(reg, p) and regularize(reg, p) == reg
+
+
 def test_ladder_stats_examples():
-    st = ladder_stats((5, 4, 3, 2, 1), 3, 8)
-    assert st.rem == 1  # the removable node in the bottom row
-    st0 = ladder_stats((), 3, 5)
-    assert (st0.lad, st0.badd, st0.brem) == (0, 0, 0)
-    total_add = sum(ladder_stats((9, 5, 4, 2), 3, l).add for l in range(0, 30, 2))
-    assert total_add == 5
-    neg = ladder_stats((5, 4, 3), 3, -2)
-    assert neg.lad == 0 and neg.badd == 0
+    assert _strict_nodes_in_ladder((5, 4, 3, 2, 1), 3, 8)[1] == 1  # the removable node in the bottom row
+    assert _strict_nodes_in_ladder((), 3, 5) == (0, 0)
+    assert sum(_strict_nodes_in_ladder((9, 5, 4, 2), 3, l)[0] for l in range(0, 30, 2)) == 5
+    assert _strict_nodes_in_ladder((5, 4, 3), 3, -2) == (0, 0)
 
 
 def test_ladder_stats_str_zz():
-    st = ladder_stats((4, 3, 2), 3, 4)
-    assert st.str_count == 1
-    assert st.zz is None  # no zz statistic at p=3
-    st5 = ladder_stats((5, 4, 3), 5, 3)
-    assert st5.zz is not None
+    assert str_count((4, 3, 2), 3, 4) == 1
+    assert zz_count((5, 4, 3), 5, 4) == 1 and zz_count((5, 4, 3), 5, 3) == 0
+    assert str_count((5, 4, 3), 3, -2) == zz_count((5, 4, 3), 5, -2) == 0
 
 
 def test_identities_spot():
@@ -171,8 +195,4 @@ def test_identities_exhaustive_small():
 def test_strict_sense_matches_pstrict_on_nonzero_ladders():
     for n in range(15):
         for lam in strict_partitions_of(n):
-            for l in range(0, 20):
-                if ladder_residue(l, 3) == 0:
-                    continue
-                st = ladder_stats(lam, 3, l)
-                assert st.add == st.badd and st.rem == st.brem, (lam, l)
+            assert boundary_nodes(lam, 1, 3, "strict") == boundary_nodes(lam, 1, 3, "pstrict"), lam

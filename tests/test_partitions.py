@@ -3,19 +3,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from spinhom import barcores, branching, classify, dimensions, ladders, tableaux
+from spinhom import barcores, branching, classify, dimensions, ladders, tableaux, verify
 from spinhom.partitions import (
     SHAPES,
     PartitionError,
     check_odd_prime,
-    classify_shape,
     conjugate,
     dominates,
     format_partition,
     has_shape,
     is_p_strict,
+    is_odd_partition,
     join,
-    parity_stats,
+    l_p,
     parse_partition,
     partitions_of,
     p_strict_partitions_of,
@@ -53,16 +53,13 @@ def test_format_parse_round_trip(lam):
 
 
 def test_shape_flags():
-    flags = classify_shape((5, 4, 3, 2, 1), 3)
-    assert flags.is_strict and flags.is_p_strict and flags.is_restricted
-    flags = classify_shape((3, 3), 3)
-    assert not flags.is_strict and flags.is_p_strict and not flags.is_restricted
-    flags = classify_shape((2, 2), 3)
-    assert not flags.is_strict and not flags.is_p_strict and not flags.is_restricted
+    assert all(has_shape((5, 4, 3, 2, 1), shape, 3) for shape in SHAPES)
+    assert [has_shape((3, 3), shape, 3) for shape in SHAPES] == [False, True, False]
+    assert not any(has_shape((2, 2), shape, 3) for shape in SHAPES)
     # a bare multiple of p is p-strict but not restricted
-    assert classify_shape((3,), 3).is_p_strict
-    assert not classify_shape((3,), 3).is_restricted
-    assert classify_shape((6, 4, 1), 3).is_restricted
+    assert has_shape((3,), "pstrict", 3)
+    assert not has_shape((3,), "restricted", 3)
+    assert has_shape((6, 4, 1), "restricted", 3)
 
 
 def test_check_odd_prime():
@@ -71,8 +68,9 @@ def test_check_odd_prime():
     for p in (-3, 0, 1, 2, 4, 9, 15, 25, 49, 91):
         with pytest.raises(PartitionError, match="odd prime"):
             check_odd_prime(p)
-    with pytest.raises(PartitionError):
-        classify_shape((2, 1), 9)
+    # entry points check p before anything reads it
+    with pytest.raises(PartitionError, match="odd prime"):
+        verify.run_suite("ladders", p=9, max_n=2)
 
 
 def test_strict_implies_p_strict():
@@ -134,11 +132,10 @@ def test_dominance_partial_order():
 
 
 def test_parity_stats():
-    assert parity_stats((6,), 3).spin_parity == "odd"
-    assert parity_stats((6,), 3).l_p == 1
-    assert parity_stats((5, 1), 3).spin_parity == "even"
-    assert parity_stats((5, 1), 3).l_p == 0
-    assert parity_stats((4, 2), 3).spin_parity == "even"
+    assert is_odd_partition((6,)) and l_p((6,), 3) == 1
+    assert not is_odd_partition((5, 1)) and l_p((5, 1), 3) == 0
+    assert not is_odd_partition((4, 2)) and l_p((4, 2), 5) == 0
+    assert l_p((9, 6, 5, 3), 3) == 3 and l_p((10, 5, 4), 5) == 2 and l_p((), 3) == 0
 
 
 def test_enumeration_counts():
@@ -158,7 +155,6 @@ def test_enumeration_counts():
 SHAPE_ERRORS = [
     ("ladders.content", lambda: ladders.content((2, 2), 3), "(2, 2) is not 3-strict"),
     ("ladders.regularize", lambda: ladders.regularize((2, 2), 3), "(2, 2) is not 3-strict"),
-    ("ladders.ladder_stats", lambda: ladders.ladder_stats((2, 2), 3, 0), "(2, 2) is not 3-strict"),
     ("ladders.check_ladder_identities", lambda: ladders.check_ladder_identities((4, 4), 5), "(4, 4) is not 5-strict"),
     ("barcores.bar_removals", lambda: barcores.bar_removals((2, 2), 3), "(2, 2) is not 3-strict"),
     ("barcores.bar_core", lambda: barcores.bar_core((2, 2), 3), "(2, 2) is not 3-strict"),
@@ -196,10 +192,8 @@ def test_shape_error_messages(call, message):
 def test_require_shape_table():
     assert list(SHAPES) == ["strict", "pstrict", "restricted"]
     for lam, p in (((5, 4, 3, 2, 1), 3), ((3, 3), 3), ((2, 2), 3), ((3,), 3), ((6, 4, 1), 3), ((5, 5, 1), 5)):
-        flags = classify_shape(lam, p)
-        for shape, flag in zip(SHAPES, (flags.is_strict, flags.is_p_strict, flags.is_restricted)):
-            assert has_shape(lam, shape, p) == flag, (lam, shape)
-            if flag:
+        for shape in SHAPES:
+            if has_shape(lam, shape, p):
                 require_shape(lam, shape, p)
             else:
                 with pytest.raises(PartitionError, match=r"is not "):
