@@ -12,7 +12,8 @@ their residue contents agree.  ``block_members`` enumerates a block by
 forward bar addition from its core; ``reg_preimages`` enumerates the
 strict partitions with a prescribed regularisation by matching ladder
 profiles directly, which stays fast even when the ambient block is
-huge.
+huge, and checks its output through those profiles, with a single
+``regularize`` per fibre.
 """
 
 from __future__ import annotations
@@ -134,6 +135,13 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     they are found by a row-by-row search with the profile as budget.
     Ladders below (p-1)*(r-1) are untouchable from row r on, which
     prunes hard.
+
+    The fibre is checked once, through profiles: every member must be
+    p-strict with exactly mu's profile, and one member must regularise
+    to mu.  ``regularize`` reads a p-strict input only through its
+    ladder profile, so on such members it returns one value (or raises
+    on all of them alike); this check therefore fails on exactly the
+    fibres where regularising every member would fail.
     """
     require_shape(mu, RESTRICTED, p)
     target = ladder_profile(mu, p)
@@ -157,7 +165,6 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
         if base > max_l or remaining[base] != 1:
             # the only open position of ladder (p-1)(r-1) is (r, 1)
             return
-        window = range(base, min(base + p - 1, max_l + 1))
         cap = prev - 1
         consumed: list[int] = []
         acc.append(0)
@@ -169,7 +176,7 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
             budget -= 1
             consumed.append(l)
             # rows below row r can no longer reach ladders under base + p - 1
-            if all(remaining[k] == 0 for k in window):
+            if not any(remaining[base : base + p - 1]):
                 acc[-1] = c
                 rec(r + 1, c, acc)
         acc.pop()
@@ -180,6 +187,8 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     rec(1, sum(mu) + p, [])
     result = sorted(out, reverse=True)
     for lam in result:
-        if regularize(lam, p) != mu:
-            raise RuntimeError(f"fibre search for {mu} at p={p} returned {lam}, which regularises elsewhere")
+        if not is_p_strict(lam, p) or ladder_profile(lam, p) != target:
+            raise RuntimeError(f"fibre search for {mu} at p={p} returned {lam}, whose ladder profile is not {mu}'s")
+    if result and regularize(result[0], p) != mu:
+        raise RuntimeError(f"fibre search for {mu} at p={p} returned {result[0]}, which regularises elsewhere")
     return result

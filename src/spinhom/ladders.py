@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
@@ -43,25 +42,30 @@ def ladder_index(r: int, c: int, p: int) -> int:
     return ((p - 1) * c) // p + (p - 1) * (r - 1)
 
 
-def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
-    for r, a in enumerate(lam, start=1):
-        for c in range(1, a + 1):
-            yield (r, c)
-
-
 def content(lam: Partition, p: int) -> dict[int, int]:
-    """Residue multiset of all nodes, as a residue -> count dict."""
+    """Residue multiset of all nodes, as a residue -> count dict.
+
+    Counted per row: the columns 1..a of a row of length a run q = a // p
+    times through every class b = (c-1) mod p, and once more through the
+    first a % p classes.
+    """
     require_shape(lam, PSTRICT, p)
     counts: Counter[int] = Counter()
-    for r, c in nodes(lam):
-        counts[residue(r, c, p)] += 1
-    return dict(counts)
+    for a in lam:
+        q, s = divmod(a, p)
+        for b in range(p):
+            counts[residue(1, b + 1, p)] += q + (b < s)
+    return {i: k for i, k in counts.items() if k}
 
 
 def is_p_odd(lam: Partition, p: int) -> bool:
-    """True if lam has an odd number of nodes of non-zero residue."""
-    nz = sum(1 for r, c in nodes(lam) if residue(r, c, p) != 0)
-    return nz % 2 == 1
+    """True if lam has an odd number of nodes of non-zero residue.
+
+    Residue 0 sits in the columns c = 0 or 1 (mod p), so a row of length
+    a has a // p + (a + p - 1) // p nodes of residue 0.
+    """
+    zero = sum(a // p + (a + p - 1) // p for a in lam)
+    return (sum(lam) - zero) % 2 == 1
 
 
 @lru_cache(maxsize=None)
@@ -89,11 +93,25 @@ def ladder_positions(l: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _row_ladders(a: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(ladder offset, node count) of a row of length a, by ascending offset.
+
+    The node (r, c) lies in ladder offset + (p-1)*(r-1).  Memoised without
+    a bound: one entry per row length and prime met.
+    """
+    return tuple(Counter(((p - 1) * c) // p for c in range(1, a + 1)).items())
+
+
 def ladder_profile(lam: Partition, p: int) -> dict[int, int]:
-    counts: Counter[int] = Counter()
-    for r, c in nodes(lam):
-        counts[ladder_index(r, c, p)] += 1
-    return dict(counts)
+    """Ladder -> node count, by ascending ladder, summed row by row."""
+    counts: dict[int, int] = {}
+    for r, a in enumerate(lam):
+        base = (p - 1) * r
+        for offset, k in _row_ladders(a, p):
+            l = base + offset
+            counts[l] = counts.get(l, 0) + k
+    return counts
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -104,17 +122,22 @@ def regularize(lam: Partition, p: int) -> Partition:
     has the same number of nodes in every ladder.  Memoised on the last
     ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
     input that raises is never stored.
+
+    The nodes placed in one row sit in distinct positive columns, so they
+    fill the initial segment 1..a of the row exactly when the widest of
+    them is column a: the fill guard compares the two per row.
     """
     require_shape(lam, PSTRICT, p)
     profile = ladder_profile(lam, p)
     row_cells: Counter[int] = Counter()
-    cells: set[tuple[int, int]] = set()
+    widest: Counter[int] = Counter()
     for l, k in profile.items():
         for r, c in ladder_positions(l, p)[:k]:
             row_cells[r] += 1
-            cells.add((r, c))
+            if c > widest[r]:
+                widest[r] = c
     out = tuple(row_cells[r] for r in range(1, max(row_cells, default=0) + 1))
-    if not all((r, c) in cells for r, a in enumerate(out, start=1) for c in range(1, a + 1)):
+    if any(widest[r] != a for r, a in enumerate(out, start=1)):
         raise RuntimeError(f"regularisation of {lam} at p={p} does not fill initial row segments")
     if not is_restricted(out, p):
         raise RuntimeError(f"regularisation {out} of {lam} is not restricted {p}-strict")

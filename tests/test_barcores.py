@@ -1,5 +1,6 @@
 import pytest
 
+from spinhom import barcores
 from spinhom.barcores import (
     BarCoreResult,
     bar_additions,
@@ -173,6 +174,25 @@ def test_reg_preimages_examples():
     assert (12, 7, 2) in reg_preimages((8, 6, 4, 2, 1), 3)
     with pytest.raises(PartitionError):
         reg_preimages((3,), 3)  # not restricted
+
+
+def test_reg_preimages_rejects_a_member_with_a_foreign_profile(monkeypatch):
+    # the fibre of (6, 4, 1) at p = 3 is (7, 4), (7, 3, 1), (6, 4, 1); the
+    # search budgets with the true profile, and the check sees (7, 3, 1)
+    # carry one node more in ladder 40
+    real = barcores.ladder_profile
+    def foreign(lam, p):
+        profile = real(lam, p)
+        return {**profile, 40: 1} if lam == (7, 3, 1) else profile
+    monkeypatch.setattr(barcores, "ladder_profile", foreign)
+    with pytest.raises(RuntimeError, match="ladder profile"):
+        reg_preimages((6, 4, 1), 3)
+
+
+def test_reg_preimages_rejects_a_fibre_that_regularises_elsewhere(monkeypatch):
+    monkeypatch.setattr(barcores, "regularize", lambda lam, p: lam)
+    with pytest.raises(RuntimeError, match="regularises elsewhere"):
+        reg_preimages((6, 4, 1), 3)
 
 
 @pytest.mark.parametrize("p,max_n", [(3, 15), (5, 12)])

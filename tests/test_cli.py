@@ -297,8 +297,15 @@ def test_verify_tableaux_patterned_rows_at_p3_only(capsys):
 def test_verify_output_guards_hold_under_python_O():
     # the output checks are raises, not asserts, so -O runs them and prints the same rows
     env = dict(os.environ, PYTHONPATH=str(Path(spinhom.__file__).resolve().parents[1]))
-    for suite, max_n in (("branching", "8"), ("blocks", "8"), ("wreath", "5"), ("ladders", "8")):
-        argv = ["-m", "spinhom.cli", "verify", "--suite", suite, "--max-n", max_n]
+    cases = (
+        ("branching", "--max-n", "8"),
+        ("blocks", "--max-n", "8"),
+        ("wreath", "--max-n", "5"),
+        ("ladders", "--max-n", "8"),
+        ("degrees", "--max-l", "5"),
+    )
+    for suite, bound, value in cases:
+        argv = ["-m", "spinhom.cli", "verify", "--suite", suite, bound, value]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
         optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=120)
         assert plain.returncode == 0 and optimised.returncode == 0, suite

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinhom import ladders
 from spinhom.branching import boundary_nodes
 from spinhom.ladders import (
     check_ladder_identities,
@@ -79,6 +80,38 @@ def test_content():
     assert is_p_odd((8, 7, 3), 5)
     with pytest.raises(PartitionError):
         content((2, 2), 3)
+
+
+def _nodes(lam):
+    for r, a in enumerate(lam, 1):
+        for c in range(1, a + 1):
+            yield r, c
+
+
+@pytest.mark.parametrize("p,max_n", [(3, 24), (5, 18), (7, 14)])
+def test_row_kernels_match_node_by_node_counts(p, max_n):
+    # reference counts that visit the nodes one at a time
+    for n in range(max_n + 1):
+        for lam in p_strict_partitions_of(n, p):
+            profile = ladder_profile(lam, p)
+            assert profile == Counter(ladder_index(r, c, p) for r, c in _nodes(lam)), lam
+            assert list(profile) == sorted(profile), lam
+            assert content(lam, p) == Counter(residue(r, c, p) for r, c in _nodes(lam)), lam
+            odd = sum(1 for r, c in _nodes(lam) if residue(r, c, p) != 0) % 2 == 1
+            assert is_p_odd(lam, p) == odd, lam
+
+
+def test_regularize_fill_guard_fires_on_a_hole(monkeypatch):
+    # ladder 1 at p = 3 is the single position (1, 2); moving it to (1, 3)
+    # leaves row 1 with two nodes in columns 1 and 3
+    real = ladders.ladder_positions
+    monkeypatch.setattr(ladders, "ladder_positions", lambda l, p: ((1, 3),) if (l, p) == (1, 3) else real(l, p))
+    regularize.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="does not fill initial row segments"):
+            regularize((2,), 3)
+    finally:
+        regularize.cache_clear()
 
 
 def _regularize_by_node_moves(lam, p):
