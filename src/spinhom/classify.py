@@ -166,7 +166,6 @@ def classify_homogeneous(lam: Partition) -> Verdict:
 @dataclass(frozen=True)
 class Certificate:
     kind: str  # "Obstruction_certificate", "Eps_mismatch", "Restriction_mismatch", "Degree_witness"
-    residue: int | None = None
     witness: Partition | None = None
 
 
@@ -183,12 +182,12 @@ def homogeneity_obstruction(lam: Partition) -> Certificate | None:
     reg = regularize(lam, 3)
     for i in (0, 1):
         if ladder_obstruction(lam, i, 3):
-            return Certificate("Obstruction_certificate", residue=i)
+            return Certificate("Obstruction_certificate")
         down = extremal(lam, i, 3, "down")
         if down.count != eps_i(reg, i, 3):
-            return Certificate("Eps_mismatch", residue=i)
+            return Certificate("Eps_mismatch")
         if regularize(down.result, 3) != normal_extremal(reg, i, 3, "down"):
-            return Certificate("Restriction_mismatch", residue=i)
+            return Certificate("Restriction_mismatch")
     witness = degree_witness(lam, 3)
     if witness is not None:
         return Certificate("Degree_witness", witness=witness)

@@ -186,22 +186,6 @@ def conjugate(alpha: Partition) -> Partition:
     return tuple(sum(1 for a in alpha if a >= c) for c in range(1, alpha[0] + 1))
 
 
-def dominates(mu: Partition, lam: Partition) -> bool:
-    """True if mu dominates lam: every prefix sum of mu is >= that of lam.
-
-    Both partitions must have the same size.
-    """
-    if sum(mu) != sum(lam):
-        raise PartitionError("dominance compares partitions of equal size only")
-    s_mu = s_lam = 0
-    for r in range(max(len(mu), len(lam))):
-        s_mu += mu[r] if r < len(mu) else 0
-        s_lam += lam[r] if r < len(lam) else 0
-        if s_mu < s_lam:
-            return False
-    return True
-
-
 def contains(lam: Partition, mu: Partition) -> bool:
     """Diagram containment: mu_r <= lam_r for every row."""
     return len(mu) <= len(lam) and all(mu[k] <= lam[k] for k in range(len(mu)))

@@ -37,13 +37,6 @@ class ShiftedTableau:
     def entry(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
 
-    def position(self, k: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows, start=1):
-            for c, v in enumerate(row, start=1):
-                if v == k:
-                    return (r, c)
-        raise KeyError(k)
-
     def is_standard(self) -> bool:
         shape = self.shape
         if not is_strict(shape):

@@ -26,9 +26,10 @@ ranges and run at p = 3 only; the degree families (every declared
 range and equality index) and staircase witnesses (l <= 8) follow
 ``max_l``.
 
-Suites fan out over partitions with a process pool when ``threads`` is
-above one; rows are merged back in submission order, so output is
-identical for every thread count.
+Suites fan out over partitions (the staircase witnesses over their
+regularisation fibres) with a process pool when ``threads`` is above
+one; rows are merged back in submission order, so output is identical
+for every thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -268,11 +269,14 @@ def suite_blocks(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
 # degrees
 
 
-def _staircase_witness_rows(args: tuple[int, tuple[int, ...]]) -> list[Row]:
-    l, tup = args
-    lam = families.staircase_adjusted(l, tup)
-    witness = dimensions.degree_witness(lam, 3)
-    return [_row(format_partition(lam), "staircase_witness", f"l={l},a={tup}", witness, "found", witness is not None)]
+def _staircase_witness_rows(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[Row]:
+    l, tups = args
+    rows = []
+    for tup in tups:
+        lam = families.staircase_adjusted(l, tup)
+        witness = dimensions.degree_witness(lam, 3)
+        rows.append(_row(format_partition(lam), "staircase_witness", f"l={l},a={tup}", witness, "found", witness is not None))
+    return rows
 
 
 def suite_degrees(p: int, max_n: int, threads: int = 1, seed: int = 0, max_l: int = 12) -> list[Row]:
@@ -306,10 +310,11 @@ def suite_degrees(p: int, max_n: int, threads: int = 1, seed: int = 0, max_l: in
             else:
                 rows.append(_row(name, "ratio_greater", f"l={l}", r, "> 1", r > 1))
             rows.append(_equal(name, "same_regularisation", f"l={l}", ladders.regularize(fam.lam(l), 3), ladders.regularize(fam.mu(l), 3)))
+    # one job per regularisation fibre, so no two workers rank the same fibre
     jobs = [
-        (l, tup)
+        (l, tuple(tups))
         for l in range(3, min(8, max_l) + 1)
-        for tup in families.admissible_row_tuples(l)
+        for _, tups in groupby(families.admissible_row_tuples(l), lambda tup: ladders.regularize(families.staircase_adjusted(l, tup), 3))
     ]
     rows += _fan_out(_staircase_witness_rows, jobs, threads)
     return rows

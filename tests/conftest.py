@@ -1,4 +1,5 @@
-"""The contract-range ``verify`` runs, made once per test session.
+"""The contract-range ``verify`` runs, made once per test session, and
+the hypothesis strategy for p-strict partitions.
 
 The acceptance criteria and the full-range suite tests all read these
 rows, so no suite runs twice at its contract range.
@@ -7,6 +8,7 @@ rows, so no suite runs twice at its contract range.
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from spinhom import verify
 
@@ -34,3 +36,14 @@ def contract_rows() -> dict[tuple[str, int], list[verify.Row]]:
         (name, p): verify.run_suite(name, p=p, max_n=max_n, threads=THREADS, max_l=12)
         for name, p, max_n in CONTRACT_RUNS
     }
+
+
+@st.composite
+def p_strict(draw, p, max_n=60):
+    """A p-strict partition of at most max_n: distinct parts plus repeated multiples of p."""
+    parts = draw(st.lists(st.integers(1, max_n), unique=True, max_size=10))
+    parts += draw(st.lists(st.integers(1, max_n // p).map(lambda k: k * p), max_size=4))
+    parts.sort()
+    while sum(parts) > max_n:
+        parts.pop()
+    return tuple(reversed(parts))

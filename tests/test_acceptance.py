@@ -10,6 +10,16 @@ are listed in ``conftest.py``, the caps inside each suite in the
 arithmetic is exact.  Each criterion prints a PASS line on success (run
 with ``-s`` to stream them); a failing assertion is the FAIL line.
 
+The unit tests do not repeat these sweeps, so the criteria also pin the
+checks that stand in for them: ``reg_profile``, ``reg_idempotent``,
+``reg_restricted``, ``reg_fixed_point`` and ``strict_add_badd_nonzero``
+(criterion 2); ``senses_coincide``, ``tilde_f_after_e``,
+``tilde_e_after_f`` and ``homog_eps_match`` (3); ``enumeration_count``
+and ``enumeration_standard`` (4); ``cartan0_symmetry`` (5);
+``core_confluence`` and ``morris_yaseen`` (6).  The ladder identities,
+the dn predicates, the chain rows, the cartan0 diagonal rows, the
+tableau counts, soundness and phi-zero agreement were pinned already.
+
 Criterion 8 note: the extremal chain is verified at every index where
 its defining shapes exist.  The l = 1 step of the 0-direction half is
 provably unsatisfiable (no partition at all maps onto (6, 4, 3, 1)
@@ -68,36 +78,46 @@ def test_criterion_2_ladder_identity_suite(contract_rows):
     assert verify.failures(rows3 + rows5) == []
     checked = _checked(rows3, {"arladd1": 10371, "lads": 10781, "lads_strict": 6457})
     checked += _checked(rows5, {"arladd1": 1313, "lads": 1475, "lads_strict": 1325, "zzlem": 2691, "zzreglem": 2691})
-    _ok("2", f"({checked} identity instances, zero failures)")
+    regular = ("reg_profile", "reg_idempotent", "reg_restricted")
+    swept = _checked(rows3, {**dict.fromkeys(regular, 1454), "reg_fixed_point": 260, "strict_add_badd_nonzero": 904})
+    swept += _checked(rows5, {**dict.fromkeys(regular, 278), "reg_fixed_point": 160, "strict_add_badd_nonzero": 253})
+    _ok("2", f"({checked} identity instances, {swept} regularisation and node-sense rows, zero failures)")
 
 
 def test_criterion_3_obstruction_predicates(contract_rows):
     want = {"dn_half_equivalence": 371, "dn_implication": 207}
     checked = _checked(contract_rows["branching", 3], want, max_n=20)
-    _ok("3", f"({checked} equivalence and implication rows to n=20, zero counterexamples)")
+    swept = _checked(contract_rows["branching", 3], {"senses_coincide": 904, "tilde_f_after_e": 104, "tilde_e_after_f": 123,
+                                                     "homog_eps_match": 150})
+    swept += _checked(contract_rows["branching", 5], {"senses_coincide": 338, "tilde_f_after_e": 151, "tilde_e_after_f": 184})
+    _ok("3", f"({checked} equivalence and implication rows to n=20, {swept} sense, tilde-inverse and "
+             "homogeneous-eps rows, zero counterexamples)")
 
 
 def test_criterion_4_dimension_engine(contract_rows):
     want = {"sum_of_squares": 10, "g_equals_tableau_count": 70, "ratio_formula": 31, "ratio_step_formula": 54,
             "ratio_greater": 99, "ratio_equal_at": 2, "same_regularisation": 101}
     checked = _checked(contract_rows["degrees", 3], want)
-    _ok("4", f"({checked} rows: sum-of-squares to 10, tableau counts to 12, family closed forms to l=12)")
+    checked += _checked(contract_rows["tableaux", 3], {"enumeration_count": 70, "enumeration_standard": 70})
+    _ok("4", f"({checked} rows: sum-of-squares to 10, tableau counts and enumerations to 12, family closed forms to l=12)")
 
 
 def test_criterion_5_wreath_cartan(contract_rows):
     for d in range(3, 7):
         matrix = bundled_decomp_matrix(d)
         assert matrix.d == d and matrix.p == 3
-    want = {"cartan0_diagonal_equality": 15, "cartan0_diagonal_strict": 51, "cartan3_diagonal_strict": 18}
+    want = {"cartan0_diagonal_equality": 15, "cartan0_diagonal_strict": 51, "cartan3_diagonal_strict": 18, "cartan0_symmetry": 6}
     checked = _checked(contract_rows["wreath", 3], want)
-    _ok("5", f"({checked} rows: diagonal law to d=8 exact; ingested char-3 bound for 3<=d<=6)")
+    _ok("5", f"({checked} rows: diagonal law to d=8 exact; symmetry to d=6; ingested char-3 bound for 3<=d<=6)")
 
 
 def test_criterion_6_block_combinatorics(contract_rows):
     closed = ("block_closed_form", "block_restricted_iff_alpha_empty", "reg_fibre_closed_form", "fibre_multiplicity_sum")
-    checked = _checked(contract_rows["blocks", 3], dict.fromkeys(closed, 13))
+    checked = _checked(contract_rows["blocks", 3], {**dict.fromkeys(closed, 13), "core_confluence": 226, "morris_yaseen": 1511})
+    checked += _checked(contract_rows["blocks", 5], {"core_confluence": 183, "morris_yaseen": 1511})
     checked += _checked(contract_rows["tableaux", 3], {"patterned_tableau": 6})
-    _ok("6", f"({checked} rows: block closed forms, fibres with multiplicity 2d+1, patterned tableaux)")
+    _ok("6", f"({checked} rows: block closed forms, core confluence, Morris-Yaseen, fibres with multiplicity 2d+1, "
+             "patterned tableaux)")
 
 
 def test_criterion_7_classifier_coherence(contract_rows):

@@ -1,7 +1,7 @@
 import pytest
 
 from spinhom import dimensions
-from spinhom.branching import boundary_nodes, extremal, phi_hat, signature
+from spinhom.branching import boundary_nodes, signature
 from spinhom.classify import (
     CONJ_HOM,
     CONJ_NOT,
@@ -110,13 +110,6 @@ def test_obstruction_examples():
     assert homogeneity_obstruction((6,)) is None
 
 
-def test_obstruction_soundness_small():
-    for n in range(20):
-        for lam in strict_partitions_of(n):
-            if classify_homogeneous(lam).status == PROVEN_HOM:
-                assert homogeneity_obstruction(lam) is None, lam
-
-
 def test_classify_irreducible_examples():
     verdict = classify_irreducible((6,), "sn")
     assert verdict.irreducible and verdict.proven
@@ -136,19 +129,6 @@ def test_super_bounds():
     assert classify_irreducible((3, 2, 1), "super").irreducible is False
     assert classify_irreducible((3, 2, 1), "sn").irreducible is True
     assert classify_irreducible((4, 3, 2), "super").irreducible  # even, l_3 = 1
-
-
-def test_phi_zero_corollary_small():
-    for n in range(1, 18):
-        for lam in strict_partitions_of(n):
-            verdict = classify_homogeneous(lam)
-            for i in (0, 1):
-                if phi_hat(lam, i, 3) != 0:
-                    continue
-                down = extremal(lam, i, 3, "down").result
-                sub = classify_homogeneous(down)
-                if verdict.proven and sub.proven:
-                    assert (verdict.status == PROVEN_HOM) == (sub.status == PROVEN_HOM), (lam, i)
 
 
 def test_module_list_membership():

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from spinhom.partitions import (
     PartitionError,
     check_odd_prime,
     conjugate,
-    dominates,
     format_partition,
     has_shape,
     is_p_strict,
@@ -107,28 +104,6 @@ def test_conjugate():
     for n in range(21):
         for lam in partitions_of(n):
             assert conjugate(conjugate(lam)) == lam
-
-
-def test_dominance_examples():
-    assert dominates((3,), (1, 1, 1))
-    assert not dominates((2, 2), (3, 1))
-    with pytest.raises(PartitionError):
-        dominates((2,), (1,))
-
-
-def test_dominance_partial_order():
-    for n in range(1, 11):
-        parts = list(partitions_of(n))
-        for lam in parts:
-            assert dominates(lam, lam)
-        for a, b in combinations(parts, 2):
-            if dominates(a, b) and dominates(b, a):
-                assert a == b
-        for a in parts:
-            for b in parts:
-                for c in parts:
-                    if dominates(a, b) and dominates(b, c):
-                        assert dominates(a, c)
 
 
 def test_parity_stats():

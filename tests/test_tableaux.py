@@ -1,8 +1,7 @@
 import pytest
 
-from spinhom.dimensions import spin_dim
 from spinhom.ladders import content
-from spinhom.partitions import PartitionError, scaled_add, strict_partitions_of
+from spinhom.partitions import PartitionError, scaled_add
 from spinhom.tableaux import (
     ShiftedTableau,
     count_sst,
@@ -28,20 +27,6 @@ def test_count_sst_rejects_non_strict_shapes():
         for lam in ((3, 3), (1, 1), (4, 2, 2)):
             with pytest.raises(PartitionError, match=r"is not strict$"):
                 count_sst(lam)
-
-
-def test_counts_match_bar_length_factor():
-    for n in range(13):
-        for lam in strict_partitions_of(n):
-            tabs = list(enumerate_sst(lam))
-            assert len(tabs) == len(set(tabs)) == count_sst(lam) == spin_dim(lam).g, lam
-
-
-def test_every_tableau_is_standard():
-    for n in range(11):
-        for lam in strict_partitions_of(n):
-            for tab in enumerate_sst(lam):
-                assert tab.is_standard(), (lam, tab)
 
 
 def test_enumeration_deterministic():
@@ -71,9 +56,7 @@ def test_patterned_tableau_families():
             for j in range(d):
                 assert sorted(word[base + 3 * j : base + 3 * j + 3]) == [0, 0, 1]
             # the prefix entries really fill the core shape
-            for k in range(1, base + 1):
-                r, c = tab.position(k)
-                assert c <= nu[r - 1]
+            assert sorted(v for row, a in zip(tab.rows, nu) for v in row[:a]) == list(range(1, base + 1))
 
 
 def test_patterned_tableau_full_prefix():

@@ -167,22 +167,8 @@ def test_cartan0_values():
     assert wreath_cartan0((3,), (3,)) == 7
     assert wreath_cartan0((2, 1), (2, 1)) == 19
     assert wreath_cartan0((3,), (2, 1)) == 8
-    for d in range(1, 7):
-        for nu in partitions_of(d):
-            v = wreath_cartan0(nu, nu)
-            if nu in ((d,), (1,) * d):
-                assert v == 2 * d + 1
-            else:
-                assert v > 2 * d + 1
     with pytest.raises(PartitionError):
         wreath_cartan0((2,), (3,))
-
-
-def test_cartan0_symmetry():
-    for d in range(1, 6):
-        for nu in partitions_of(d):
-            for pi in partitions_of(d):
-                assert wreath_cartan0(nu, pi) == wreath_cartan0(pi, nu)
 
 
 def test_cartan0_lower_bound_with_small_betas():
