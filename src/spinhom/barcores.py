@@ -19,8 +19,9 @@ huge, and checks its output through those profiles, with a single
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .ladders import ladder_profile, regularize
+from .ladders import _MEMO_SIZE, ladder_profile, regularize
 from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, has_shape, is_p_strict, require_shape
 
 
@@ -63,8 +64,14 @@ class BarCoreResult:
     weight: int
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def bar_core(lam: Partition, p: int) -> BarCoreResult:
-    """Iterate bar removal to its fixed point (order independent)."""
+    """Iterate bar removal to its fixed point (order independent).
+
+    Memoised on the last ``_MEMO_SIZE`` (64) arguments, enough for every
+    strict partition of one n <= 16; every check runs on each miss, and
+    an input that raises is never stored.
+    """
     current = lam
     weight = 0
     while True:

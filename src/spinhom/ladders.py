@@ -24,9 +24,11 @@ from functools import lru_cache
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
-# Entries kept by the memos of ``regularize``, ``branching.boundary_nodes``
-# and ``branching.signature``.  The residue checks of one partition and the
-# signatures of its regularisation reuse a handful of recent entries; an
+# Entries kept by the memos of ``regularize``, ``branching.boundary_nodes``,
+# ``branching.signature`` and ``barcores.bar_core``.  The residue checks of
+# one partition and the signatures of its regularisation reuse a handful of
+# recent entries, and a block sweep over pairs of one n reuses the bar
+# cores of every strict partition of n (at most 64 for n <= 16); an
 # unbounded memo keeps every partition ever seen and grows the resident set
 # for little gain.
 _MEMO_SIZE = 64

@@ -7,16 +7,17 @@ the nodes of lam to 1..n with
 
 for all admissible nodes.  The count of such tableaux equals the odd
 factor g of the bar-length formula, which the tests exploit as a
-cross-check.  Enumeration recurses on the node holding n, which must be
-a row end whose removal leaves a strict shape; corners are tried in
-ascending row order, so the stream order is deterministic.
+cross-check.  Enumeration fills one grid in place, from n down to 1:
+entry k goes into each row end whose removal leaves a strict shape,
+tried in ascending row order, and a tableau is built only when the grid
+is full, so the stream order is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .ladders import residue
 from .partitions import STRICT, Partition, PartitionError, contains, is_strict, require_shape
@@ -62,12 +63,16 @@ class ShiftedTableau:
         return tuple(word)
 
 
-def _strict_corners(lam: Partition) -> list[int]:
-    """Rows whose last node can go while leaving a strict shape."""
+def _strict_corners(lam: Sequence[int]) -> list[int]:
+    """Rows whose last node can go while leaving a strict shape.
+
+    Trailing empty rows are allowed, so the unfilled part of a shape can
+    be passed as it stands.
+    """
     out = []
     for r in range(1, len(lam) + 1):
         below = lam[r] if r < len(lam) else 0
-        if lam[r - 1] - 1 > below or (lam[r - 1] == 1 and r == len(lam)):
+        if lam[r - 1] - 1 > below or (lam[r - 1] == 1 and below == 0):
             out.append(r)
     return out
 
@@ -81,17 +86,21 @@ def _drop(lam: Partition, r: int) -> Partition:
 def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
     """Every standard shifted tableau of shape lam, exactly once."""
     require_shape(lam, STRICT)
-    n = sum(lam)
-    if n == 0:
-        yield ShiftedTableau(())
-        return
-    for r in _strict_corners(lam):
-        for sub in enumerate_sst(_drop(lam, r)):
-            rows = [list(row) for row in sub.rows]
-            while len(rows) < r:
-                rows.append([])
-            rows[r - 1].append(n)
-            yield ShiftedTableau(tuple(tuple(row) for row in rows))
+    grid = [[0] * a for a in lam]
+    cur = list(lam)  # the part of the shape still unfilled
+
+    def fill(k: int) -> Iterator[ShiftedTableau]:
+        if k == 0:
+            yield ShiftedTableau(tuple(map(tuple, grid)))
+            return
+        for r in _strict_corners(cur):
+            a = cur[r - 1]
+            cur[r - 1] = a - 1
+            grid[r - 1][a - 1] = k
+            yield from fill(k - 1)
+            cur[r - 1] = a
+
+    yield from fill(sum(lam))
 
 
 @lru_cache(maxsize=None)

@@ -211,18 +211,19 @@ def _all_cores(lam: Partition, p: int) -> set[Partition]:
 def _blocks_confluence_rows(args: tuple[Partition, int]) -> list[Row]:
     lam, p = args
     cores = _all_cores(lam, p)
-    return [_row(format_partition(lam), "core_confluence", "", sorted(cores), [barcores.bar_core(lam, p).core], len(cores) == 1)]
+    core = barcores.bar_core(lam, p).core
+    return [_row(format_partition(lam), "core_confluence", "", sorted(cores), [core], cores == {core})]
 
 
 def suite_blocks(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Row]:
     conf_items = [(lam, p) for n in range(min(max_n, 20) + 1) for lam in p_strict_partitions_of(n, p)]
     rows = _fan_out(_blocks_confluence_rows, conf_items, threads)
     for n in range(min(max_n, 16) + 1):
-        strict = list(strict_partitions_of(n))
-        for lam, mu in combinations(strict, 2):
+        contents = {lam: ladders.content(lam, p) for lam in strict_partitions_of(n)}
+        for lam, mu in combinations(contents, 2):
             rows.append(_equal(
                 f"{format_partition(lam)}|{format_partition(mu)}", "morris_yaseen", f"n={n}",
-                barcores.same_block(lam, mu, p), ladders.content(lam, p) == ladders.content(mu, p),
+                barcores.same_block(lam, mu, p), contents[lam] == contents[mu],
             ))
         everyone = list(p_strict_partitions_of(n, p))
         by_core: dict[Partition, int] = {}

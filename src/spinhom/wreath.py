@@ -10,12 +10,13 @@ diagonal Cartan invariant of the rank-d wreath model is
 
 whose diagonal equals 2d+1 exactly for the row and the column shape and
 exceeds it otherwise.  Each label's row of non-zero ``lr3`` values is
-computed once per process and memoised, and c(nu, pi) is a sparse dot
-product of two rows.  ``lr2``, the partition lists and their conjugates
-are memoised too; ``lr3`` is not, as each row asks for each of its
-values once.  The characteristic-3 analogue conjugates by an ingested
-decomposition matrix: matrices are read from a small text format, never
-computed.
+summed once per process from the non-zero ``lr2`` terms alone and
+memoised, and c(nu, pi) is a sparse dot product of two rows.  ``lr2``,
+the partition lists and their conjugates are memoised too; ``lr3``
+itself, a dense sum over every intermediate shape, answers single
+queries and is not memoised.  The characteristic-3 analogue conjugates
+by an ingested decomposition matrix: matrices are read from a small
+text format, never computed.
 """
 
 from __future__ import annotations
@@ -96,17 +97,27 @@ def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> i
 
 @lru_cache(maxsize=None)
 def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]:
-    """The non-zero lr3(alpha, beta, gamma; nu), keyed by (alpha, beta, gamma)."""
+    """The non-zero lr3(alpha, beta, gamma; nu), keyed by (alpha, beta, gamma).
+
+    The associativity sum of ``lr3``, taken over its non-zero terms only:
+    sigma runs over the partitions inside nu, and each non-zero
+    lr2(sigma, gamma; nu) meets each non-zero lr2(alpha, beta; sigma).
+    """
     d = sum(nu)
-    row = {}
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            for alpha in _partitions(a):
-                for beta in _partitions(b):
-                    for gamma in _partitions(d - a - b):
-                        v = lr3(alpha, beta, gamma, nu)
-                        if v:
-                            row[(alpha, beta, gamma)] = v
+    row: dict[tuple[Partition, Partition, Partition], int] = {}
+    for s in range(d + 1):
+        for sigma in _partitions(s):
+            if not contains(nu, sigma):
+                continue
+            outer = [(gamma, c) for gamma in _partitions(d - s) if (c := lr2(sigma, gamma, nu))]
+            for a in range(s + 1):
+                for alpha in _partitions(a):
+                    for beta in _partitions(s - a):
+                        inner = lr2(alpha, beta, sigma)
+                        if inner:
+                            for gamma, c in outer:
+                                key = (alpha, beta, gamma)
+                                row[key] = row.get(key, 0) + inner * c
     return row
 
 

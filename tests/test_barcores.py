@@ -43,9 +43,20 @@ def test_bar_core_guard_raises_runtime_error(monkeypatch):
     import spinhom.barcores as barcores
 
     moves = {(5,): [barcores.BarRemoval("decrease", (1,))], (1,): []}
+    bar_core.cache_clear()  # memoised: a stored (5,) would skip the patched removals
     monkeypatch.setattr(barcores, "bar_removals", lambda lam, p: moves[lam])
     with pytest.raises(RuntimeError, match="does not account"):
         bar_core((5,), 3)
+
+
+def test_bar_core_never_stores_a_failure():
+    bar_core.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PartitionError, match="is not 3-strict"):
+            bar_core((2, 2), 3)
+    assert bar_core.cache_info().currsize == 0
+    assert bar_core((9, 5, 4, 2), 3) == bar_core.__wrapped__((9, 5, 4, 2), 3) == BarCoreResult((2,), 6)
+    assert bar_core((9, 5, 4, 2), 3) is bar_core((9, 5, 4, 2), 3)
 
 
 def test_bar_removals_examples():

@@ -1,7 +1,8 @@
 import pytest
 
+from spinhom import tableaux
 from spinhom.ladders import content
-from spinhom.partitions import PartitionError, scaled_add
+from spinhom.partitions import PartitionError, scaled_add, strict_partitions_of
 from spinhom.tableaux import (
     ShiftedTableau,
     count_sst,
@@ -35,6 +36,47 @@ def test_enumeration_deterministic():
     assert first == second
 
 
+def _enumerate_by_copies(lam):
+    # reference: recurse on the corner holding n, copying every row at every level
+    n = sum(lam)
+    if n == 0:
+        yield ShiftedTableau(())
+        return
+    corners = [
+        r
+        for r in range(1, len(lam) + 1)
+        if lam[r - 1] - 1 > (lam[r] if r < len(lam) else 0) or (lam[r - 1] == 1 and r == len(lam))
+    ]
+    for r in corners:
+        smaller = tuple(a - (k == r) for k, a in enumerate(lam, start=1) if a - (k == r) > 0)
+        for sub in _enumerate_by_copies(smaller):
+            rows = [list(row) for row in sub.rows]
+            while len(rows) < r:
+                rows.append([])
+            rows[r - 1].append(n)
+            yield ShiftedTableau(tuple(tuple(row) for row in rows))
+
+
+def test_enumeration_matches_the_copying_recursion_in_order():
+    for n in range(13):
+        for lam in strict_partitions_of(n):
+            assert list(enumerate_sst(lam)) == list(_enumerate_by_copies(lam)), lam
+
+
+def _patterned_family():
+    for l in (3, 4):
+        nu = tuple(range(3 * l - 2, 0, -3))
+        for d in range(1, min(l, 3) + 1):
+            yield scaled_add(nu, 3, (1,) * d), nu
+
+
+def test_patterned_tableaux_unchanged_by_the_in_place_enumeration(monkeypatch):
+    found = [find_patterned_tableau(lam, nu, 3) for lam, nu in _patterned_family()]
+    monkeypatch.setattr(tableaux, "enumerate_sst", _enumerate_by_copies)
+    assert found == [find_patterned_tableau(lam, nu, 3) for lam, nu in _patterned_family()]
+    assert None not in found
+
+
 def test_residue_words():
     (tab,) = enumerate_sst((2, 1))
     assert tab.residue_word(3) == (0, 1, 0)
@@ -45,18 +87,16 @@ def test_residue_words():
 
 
 def test_patterned_tableau_families():
-    for l in (3, 4):
-        nu = tuple(range(3 * l - 2, 0, -3))
-        for d in range(1, min(l, 3) + 1):
-            lam = scaled_add(nu, 3, (1,) * d)
-            tab = find_patterned_tableau(lam, nu, 3)
-            assert tab is not None, (l, d)
-            word = tab.residue_word(3)
-            base = sum(nu)
-            for j in range(d):
-                assert sorted(word[base + 3 * j : base + 3 * j + 3]) == [0, 0, 1]
-            # the prefix entries really fill the core shape
-            assert sorted(v for row, a in zip(tab.rows, nu) for v in row[:a]) == list(range(1, base + 1))
+    for lam, nu in _patterned_family():
+        d = (sum(lam) - sum(nu)) // 3
+        tab = find_patterned_tableau(lam, nu, 3)
+        assert tab is not None, lam
+        word = tab.residue_word(3)
+        base = sum(nu)
+        for j in range(d):
+            assert sorted(word[base + 3 * j : base + 3 * j + 3]) == [0, 0, 1]
+        # the prefix entries really fill the core shape
+        assert sorted(v for row, a in zip(tab.rows, nu) for v in row[:a]) == list(range(1, base + 1))
 
 
 def test_patterned_tableau_full_prefix():

@@ -2,9 +2,10 @@ import os
 
 import pytest
 
-from spinhom import verify
+from spinhom import barcores, verify
 from spinhom.families import FAMILIES, admissible_row_tuples, staircase_adjusted
 from spinhom.ladders import regularize
+from spinhom.partitions import PartitionError
 
 
 def test_suite_rows_are_tsv_safe():
@@ -86,3 +87,32 @@ def test_degrees_suite_sends_one_job_per_fibre(monkeypatch):
     assert len(jobs) == 6 and all(len(fibre) == 1 for fibre in fibres)
     assert len(set().union(*fibres)) == 6
     assert [tup for _, tups in jobs for tup in tups] == [tup for l in (3, 4, 5) for tup in admissible_row_tuples(l)]
+
+
+def test_core_confluence_fails_on_a_bar_core_that_stops_early(monkeypatch):
+    # each row's lhs is the one core every removal order reaches, so a
+    # bar_core stopping after two removals must fail the rows past weight
+    # two; suite_blocks then stops at block_members, which refuses such a
+    # "core", so its confluence rows are read where the suite builds them
+    def early(lam, p):
+        current, weight = lam, 0
+        while weight < 2 and (moves := barcores.bar_removals(current, p)):
+            current, weight = moves[0].result, weight + 1
+        return barcores.BarCoreResult(current, weight)
+
+    rows = []
+    real = verify._fan_out
+
+    def spy(fn, items, threads):
+        out = real(fn, items, threads)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "_fan_out", spy)
+    monkeypatch.setattr(barcores, "bar_core", early)
+    with pytest.raises(PartitionError, match="is not a 3-bar core"):
+        verify.suite_blocks(3, 12)
+    failed = verify.failures(rows)
+    assert len(rows) == 86 and {row[1] for row in rows} == {"core_confluence"}
+    assert len(failed) == 50
+    assert ("9", "core_confluence", "", "[()]", "[(3,)]", "FAIL") in failed

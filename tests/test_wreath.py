@@ -133,6 +133,22 @@ def _clear_wreath_memos():
     _partitions.cache_clear()
 
 
+def test_sparse_lr3_rows_match_the_dense_lr3():
+    _clear_wreath_memos()
+    for d in range(7):
+        for nu in partitions_of(d):
+            dense = {}
+            for a in range(d + 1):
+                for b in range(d - a + 1):
+                    for alpha in partitions_of(a):
+                        for beta in partitions_of(b):
+                            for gamma in partitions_of(d - a - b):
+                                v = lr3(alpha, beta, gamma, nu)
+                                if v:
+                                    dense[(alpha, beta, gamma)] = v
+            assert _lr3_row(nu) == dense, nu
+
+
 def test_memoisation_contract():
     _clear_wreath_memos()
     cold = wreath_cartan0((2, 1), (2, 1))
