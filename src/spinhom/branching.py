@@ -254,8 +254,6 @@ def extremal(lam: Partition, i: int, p: int, direction: str) -> ExtremalResult:
     moved = adds if direction == "up" else rems
     rows = list(lam) + [0]
     for r, _ in moved:
-        if r > len(rows):
-            rows.append(0)
         rows[r - 1] += 1 if direction == "up" else -1
     out = tuple(a for a in rows if a > 0)
     if not is_strict(out):
@@ -292,8 +290,6 @@ def branch_multiset(lam: Partition, i: int, p: int, direction: str) -> list[tupl
         if c < 1 or residue(r, c, p) != i:
             continue
         mu = _with_row(lam, r, base - 1 if direction == "down" else base + 1)
-        if sum(mu) != sum(lam) + (1 if direction == "up" else -1):
-            continue
         if not is_strict(mu):
             continue
         coeff = 2 if lam_odd and not is_odd_partition(mu) else 1

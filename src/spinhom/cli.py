@@ -54,11 +54,9 @@ def cmd_branch(args) -> int:
         _emit({"result": list(res.result), "count": res.count})
     elif op in ("normal-down", "normal-up"):
         _emit({"result": list(branching.normal_extremal(lam, i, p, op.split("-")[1]))})
-    elif op == "multiset":
+    else:  # multiset: argparse admits only these seven ops
         pairs = branching.branch_multiset(lam, i, p, args.direction)
         _emit({"coeffs": [[list(mu), c] for mu, c in pairs]})
-    else:
-        raise PartitionError(f"unknown op {op!r}")
     return 0
 
 

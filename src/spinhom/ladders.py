@@ -10,10 +10,11 @@ and all nodes of one ladder share one residue.  Regularisation slides
 every node of a p-strict partition to the leftmost free position of its
 ladder; the result is restricted p-strict with the same ladder profile.
 
-The per-ladder counts defined here (lad, add, badd, rem, brem, str, zz)
-satisfy a family of exact identities that ``check_ladder_identities``
-evaluates ladder by ladder; the verification suites run them
-exhaustively over small partitions.
+The per-ladder counts (lad, add, badd, rem, brem, str, zz) satisfy a
+family of exact identities that ``check_ladder_identities`` evaluates
+ladder by ladder; it builds each count as a ladder -> count ``Counter``
+in one pass per partition, and the verification suites run the
+identities exhaustively over small partitions.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ def ladder_positions(l: int, p: int) -> tuple[tuple[int, int], ...]:
             continue
         # columns c with floor((p-1)c/p) == m form a window of width 1 or 2
         c = (m * p + p - 2) // (p - 1)  # smallest c with (p-1)c/p >= m
-        while ((p - 1) * c) // p < m:
-            c += 1
         while ((p - 1) * c) // p == m:
             if c >= 1:
                 out.append((r, c))
@@ -146,32 +145,23 @@ def regularize(lam: Partition, p: int) -> Partition:
     return out
 
 
-def str_count(lam: Partition, p: int, l: int) -> int:
-    """Nodes (r, c) of ladder l with c divisible by p, r >= 2 and rows
-    (r-1, r, r+1) of lengths exactly (c+1, c, c-1)."""
-    if l < 0:
-        return 0
-    total = 0
-    for r in range(2, len(lam) + 1):
-        c = lam[r - 1]
-        if c % p != 0:
+def _row_end_counts(lam: Partition, p: int) -> tuple[Counter, Counter]:
+    """The str and zz counts of lam per ladder, from one pass over its rows.
+
+    The last node (r, c) of a row counts in zz when row r+1 has length
+    c-1, and in str when moreover r >= 2, p divides c and row r-1 has
+    length c+1.
+    """
+    strs: Counter[int] = Counter()
+    zzs: Counter[int] = Counter()
+    for r, c in enumerate(lam, start=1):
+        if part(lam, r + 1) != c - 1:
             continue
-        if part(lam, r - 1) == c + 1 and part(lam, r + 1) == c - 1:
-            if ladder_index(r, c, p) == l:
-                total += 1
-    return total
-
-
-def zz_count(lam: Partition, p: int, l: int) -> int:
-    """Nodes (r, c) of ladder l with rows (r, r+1) of lengths (c, c-1)."""
-    if l < 0:
-        return 0
-    total = 0
-    for r in range(1, len(lam) + 1):
-        c = lam[r - 1]
-        if part(lam, r + 1) == c - 1 and ladder_index(r, c, p) == l:
-            total += 1
-    return total
+        l = ladder_index(r, c, p)
+        zzs[l] += 1
+        if r >= 2 and c % p == 0 and lam[r - 2] == c + 1:
+            strs[l] += 1
+    return strs, zzs
 
 
 def _boundary_by_ladder(lam: Partition, p: int, mode: str) -> tuple[Counter, Counter]:
@@ -219,63 +209,47 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     * other non-zero residues ("zzlem", p >= 5 only), plus the
       regularisation inequality on zz ("zzreglem").
 
-    Counts in negative ladders are zero; the l == 0 case of the
-    residue-0 identity carries a -1 correction.
+    Every count is a per-ladder ``Counter`` built in one pass over lam
+    (and over its regularisation, for zzreglem), so an identity reads
+    ``counter[l]``; a ``Counter`` reads 0 at a negative ladder, which
+    holds no nodes.  The l == 0 case of the residue-0 identity carries a
+    -1 correction.
     """
     require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
     badds, brems = _boundary_by_ladder(lam, p, PSTRICT)
     sadds, srems = _boundary_by_ladder(lam, p, STRICT) if strict else (Counter(), Counter())
-    profile = Counter(ladder_profile(lam, p))
-    reg = regularize(lam, p)
-
-    def lad(l: int) -> int:
-        return profile[l] if l >= 0 else 0
-
-    def stat(counter: Counter, l: int) -> int:
-        return counter[l] if l >= 0 else 0
+    lad = Counter(ladder_profile(lam, p))
+    strs, zzs = _row_end_counts(lam, p)
+    reg_zzs = _row_end_counts(regularize(lam, p), p)[1]
 
     rows: list[IdentityRow] = []
     half = (p - 1) // 2
     for l in range(0, max_relevant_ladder(lam, p) + 1):
         m = l % (p - 1)
         if m == half:
-            lhs = stat(brems, l - p + 1) - stat(badds, l)
+            lhs = brems[l - p + 1] - badds[l]
             if p == 3:
-                rhs = lad(l) - lad(l - 1) + lad(l - 2)
+                rhs = lad[l] - lad[l - 1] + lad[l - 2]
             else:
-                rhs = lad(l) - lad(l - 1) - lad(l - p + 2) + lad(l - p + 1)
+                rhs = lad[l] - lad[l - 1] - lad[l - p + 2] + lad[l - p + 1]
             rows.append(IdentityRow("arladd1", l, lhs, rhs, lhs == rhs))
         if m == 0:
-            base = (
-                lad(l)
-                - 2 * lad(l - 1)
-                - 2 * lad(l - p + 2)
-                + lad(l - p + 1)
-                - (1 if l == 0 else 0)
-            )
-            lhs = stat(brems, l - p + 1) - stat(badds, l)
+            base = lad[l] - 2 * lad[l - 1] - 2 * lad[l - p + 2] + lad[l - p + 1] - (1 if l == 0 else 0)
+            lhs = brems[l - p + 1] - badds[l]
             rows.append(IdentityRow("lads", l, lhs, base, lhs == base))
             if strict:
-                lhs_s = stat(srems, l - p + 1) - stat(sadds, l)
-                rhs_s = base - str_count(lam, p, l) + str_count(lam, p, l - p + 1)
+                lhs_s = srems[l - p + 1] - sadds[l]
+                rhs_s = base - strs[l] + strs[l - p + 1]
                 rows.append(IdentityRow("lads_strict", l, lhs_s, rhs_s, lhs_s == rhs_s))
         if half >= 2 and m != 0 and m != half:
             # k is the largest index below l with k + l divisible by p-1
             k = l - ((2 * l - 1) % (p - 1) + 1)
-            lhs = stat(brems, k) - stat(badds, l)
+            lhs = brems[k] - badds[l]
             if m == 1:
-                rhs = lad(l) - lad(l - 1) + lad(k) - zz_count(lam, p, k) + zz_count(lam, p, l - p + 1)
+                rhs = lad[l] - lad[l - 1] + lad[k] - zzs[k] + zzs[l - p + 1]
             else:
-                rhs = (
-                    lad(l)
-                    - lad(l - 1)
-                    - lad(k + 1)
-                    + lad(k)
-                    - zz_count(lam, p, k)
-                    + zz_count(lam, p, l - p + 1)
-                )
+                rhs = lad[l] - lad[l - 1] - lad[k + 1] + lad[k] - zzs[k] + zzs[l - p + 1]
             rows.append(IdentityRow("zzlem", l, lhs, rhs, lhs == rhs))
-            zl, zr = zz_count(reg, p, l), zz_count(lam, p, l)
-            rows.append(IdentityRow("zzreglem", l, zl, zr, zl <= zr))
+            rows.append(IdentityRow("zzreglem", l, reg_zzs[l], zzs[l], reg_zzs[l] <= zzs[l]))
     return rows

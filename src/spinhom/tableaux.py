@@ -125,57 +125,47 @@ def find_patterned_tableau(
     (every row difference divisible by three), otherwise the region is
     malformed.  Returns the first tableau found by depth-first search,
     or None.
+
+    One prefix filling decides the search: the triple search reads only
+    how far each row is filled, never the prefix entries, so the first
+    filling of ``prefix_shape`` succeeds exactly when any filling does,
+    and gives the tableau any search over all fillings would find first.
     """
     require_shape(lam, STRICT)
     if not contains(lam, prefix_shape):
         raise PartitionError("prefix shape must sit inside the outer shape")
-    pre = list(prefix_shape) + [0] * (len(lam) - len(prefix_shape))
-    if any((lam[r] - pre[r]) % 3 != 0 for r in range(len(lam))):
+    filled = list(prefix_shape) + [0] * (len(lam) - len(prefix_shape))
+    if any((lam[r] - filled[r]) % 3 != 0 for r in range(len(lam))):
         raise PartitionError("region outside the prefix must split into row triples")
-    n_pre = sum(prefix_shape)
+    prefix = next(enumerate_sst(prefix_shape))
+    rows = [list(row) for row in prefix.rows] + [[] for _ in range(len(lam) - len(prefix.rows))]
     n = sum(lam)
 
-    def triple_ok(r: int, c: int) -> bool:
-        residues = sorted(residue(r, c + k, p) for k in range(3))
-        return residues == [0, 0, 1]
-
-    def predecessors_filled(filled: list[int], r: int, c_hi: int) -> bool:
-        # entries grow along rows and along the shifted columns, so a
-        # block (r, c..c+2) may start once row r reaches c-1 and row r-1
-        # reaches c+3 (row r-1 always extends that far inside lam)
-        if r >= 2 and filled[r - 2] < min(c_hi + 1, lam[r - 2]):
-            return False
-        return True
-
-    for prefix in enumerate_sst(prefix_shape):
-        filled = list(pre)
-        rows: list[list[int]] = []
-        for r in range(len(lam)):
-            row = list(prefix.rows[r]) if r < len(prefix.rows) else []
-            rows.append(row)
-
-        def rec(next_entry: int) -> bool:
-            if next_entry > n:
+    def rec(next_entry: int) -> bool:
+        if next_entry > n:
+            return True
+        for r in range(1, len(lam) + 1):
+            c = filled[r - 1] + 1
+            if c + 2 > lam[r - 1]:
+                continue
+            if sorted(residue(r, c + k, p) for k in range(3)) != [0, 0, 1]:
+                continue
+            # entries grow along rows and along the shifted columns, so a
+            # block (r, c..c+2) may start once row r reaches c-1 and row r-1
+            # reaches c+3 (row r-1 always extends that far inside lam)
+            if r >= 2 and filled[r - 2] < min(c + 3, lam[r - 2]):
+                continue
+            rows[r - 1].extend(range(next_entry, next_entry + 3))
+            filled[r - 1] += 3
+            if rec(next_entry + 3):
                 return True
-            for r in range(1, len(lam) + 1):
-                c = filled[r - 1] + 1
-                if c + 2 > lam[r - 1]:
-                    continue
-                if not triple_ok(r, c):
-                    continue
-                if not predecessors_filled(filled, r, c + 2):
-                    continue
-                rows[r - 1].extend(range(next_entry, next_entry + 3))
-                filled[r - 1] += 3
-                if rec(next_entry + 3):
-                    return True
-                filled[r - 1] -= 3
-                del rows[r - 1][-3:]
-            return False
+            filled[r - 1] -= 3
+            del rows[r - 1][-3:]
+        return False
 
-        if rec(n_pre + 1):
-            tab = ShiftedTableau(tuple(tuple(row) for row in rows))
-            if not (tab.is_standard() and tab.shape == lam):
-                raise RuntimeError(f"patterned filling {tab.rows} of {lam} is not a standard shifted tableau")
-            return tab
-    return None
+    if not rec(sum(prefix_shape) + 1):
+        return None
+    tab = ShiftedTableau(tuple(tuple(row) for row in rows))
+    if not (tab.is_standard() and tab.shape == lam):
+        raise RuntimeError(f"patterned filling {tab.rows} of {lam} is not a standard shifted tableau")
+    return tab

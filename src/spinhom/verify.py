@@ -233,6 +233,10 @@ def suite_blocks(p: int, max_n: int, threads: int = 1, seed: int = 0) -> list[Ro
         total = 0
         for core, count in sorted(by_core.items()):
             weight = (n - sum(core)) // p
+            # block_members refuses a non-core; report it as a row so the suite runs on
+            if not barcores.is_bar_core(core, p):
+                rows.append(_equal(format_partition(core), "block_member_count", f"n={n},d={weight}", "not a bar core", count))
+                continue
             members = barcores.block_members(core, weight, p, "pstrict")
             rows.append(_equal(format_partition(core), "block_member_count", f"n={n},d={weight}", len(members), count))
             total += len(members)

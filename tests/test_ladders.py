@@ -13,15 +13,15 @@ from spinhom.ladders import (
     ladder_index,
     ladder_positions,
     ladder_profile,
+    max_relevant_ladder,
     regularize,
     residue,
-    str_count,
-    zz_count,
 )
 from spinhom.partitions import (
     PartitionError,
     is_restricted,
     p_strict_partitions_of,
+    part,
 )
 
 
@@ -175,9 +175,48 @@ def test_ladder_stats_examples():
 
 
 def test_ladder_stats_str_zz():
-    assert str_count((4, 3, 2), 3, 4) == 1
-    assert zz_count((5, 4, 3), 5, 4) == 1 and zz_count((5, 4, 3), 5, 3) == 0
-    assert str_count((5, 4, 3), 3, -2) == zz_count((5, 4, 3), 5, -2) == 0
+    strs = ladders._row_end_counts((4, 3, 2), 3)[0]
+    assert strs[4] == 1
+    zzs = ladders._row_end_counts((5, 4, 3), 5)[1]
+    assert zzs[4] == 1 and zzs[3] == 0
+    assert ladders._row_end_counts((5, 4, 3), 3)[0][-2] == zzs[-2] == 0
+
+
+def _str_count(lam, p, l):
+    # reference: the per-ladder definition, rescanning every row for ladder l
+    if l < 0:
+        return 0
+    total = 0
+    for r in range(2, len(lam) + 1):
+        c = lam[r - 1]
+        if c % p != 0:
+            continue
+        if part(lam, r - 1) == c + 1 and part(lam, r + 1) == c - 1:
+            if ladder_index(r, c, p) == l:
+                total += 1
+    return total
+
+
+def _zz_count(lam, p, l):
+    # reference: the per-ladder definition, rescanning every row for ladder l
+    if l < 0:
+        return 0
+    total = 0
+    for r in range(1, len(lam) + 1):
+        c = lam[r - 1]
+        if part(lam, r + 1) == c - 1 and ladder_index(r, c, p) == l:
+            total += 1
+    return total
+
+
+# the ranges reach the smallest str node, rows (p+1, p, p-1), at p = 5 and 7
+@pytest.mark.parametrize("p,max_n", [(3, 18), (5, 18), (7, 24)])
+def test_row_end_counts_match_the_per_ladder_definitions(p, max_n):
+    for n in range(max_n + 1):
+        for lam in p_strict_partitions_of(n, p):
+            strs, zzs = ladders._row_end_counts(lam, p)
+            for l in range(-p, max_relevant_ladder(lam, p) + 1):
+                assert (strs[l], zzs[l]) == (_str_count(lam, p, l), _zz_count(lam, p, l)), (lam, l)
 
 
 def test_identities_spot():

@@ -77,6 +77,23 @@ def test_patterned_tableaux_unchanged_by_the_in_place_enumeration(monkeypatch):
     assert None not in found
 
 
+def test_patterned_search_draws_one_prefix_filling(monkeypatch):
+    # the search reads only how far each row is filled, so one filling of
+    # the prefix decides it; (9, 6, 3) has 136136 of them
+    drawn = 0
+    real = tableaux.enumerate_sst
+
+    def spy(lam):
+        nonlocal drawn
+        for tab in real(lam):
+            drawn += 1
+            yield tab
+
+    monkeypatch.setattr(tableaux, "enumerate_sst", spy)
+    assert find_patterned_tableau((12, 9, 6), (9, 6, 3), 7) is None
+    assert drawn == 1
+
+
 def test_residue_words():
     (tab,) = enumerate_sst((2, 1))
     assert tab.residue_word(3) == (0, 1, 0)

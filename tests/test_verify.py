@@ -1,11 +1,12 @@
+import hashlib
 import os
+from collections import Counter
 
 import pytest
 
 from spinhom import barcores, verify
 from spinhom.families import FAMILIES, admissible_row_tuples, staircase_adjusted
 from spinhom.ladders import regularize
-from spinhom.partitions import PartitionError
 
 
 def test_suite_rows_are_tsv_safe():
@@ -57,6 +58,30 @@ def test_suites_clean_at_pinned_ranges(contract_rows):
         assert verify.failures(rows) == [], run
 
 
+# sha256 of each contract run's rows, one TSV line per row as ``verify``
+# prints them; a change meant to alter rows updates its pin and says why
+ROW_HASHES = {
+    ("ladders", 3): "2cc0b29553e51ec0de8549c2fe0a1c7e3331d14383c23eb287b433ec399bc60f",
+    ("ladders", 5): "6c1b993ae4914c67d7f73bb0ab40af2824e902e44745898b5fed6c72c78523af",
+    ("branching", 3): "fcda030af776900aafbd10e0a40baf8a4c629826ca4b25a79f1ea49ae4d2429f",
+    ("branching", 5): "f844c4d8e042efdfac4f2b0b1d49d3236e859723824896ffddebba962cc7aa3d",
+    ("blocks", 3): "cc9e33e5e07dfd49448b95f3632b44b6880b3bf8986f10df0dd3f359532617b2",
+    ("blocks", 5): "5b5389b2e72f73f2a56093fba41529a5d4d1b9c2b1c4919faa4597974488678a",
+    ("degrees", 3): "02882b63ae41b29dc889925afa3afb81cab3a89f4e22e83c1f08c5715ab8738b",
+    ("tableaux", 3): "69c813533f8d0723261bb1389ec21739f99e91e0f4c6a00f3ad6c77cf6e8206b",
+    ("wreath", 3): "7f10ce79e7c982f012f7f0d552657edde94a1e7a7ba6b4b316b71c9ba86959d6",
+    ("classification", 3): "07f2bbb8ae2a6cc1a8d9493b083d9008198e4a9b03842e0d4bb1a84a4d6c72d8",
+}
+
+
+def test_contract_rows_match_their_pinned_hashes(contract_rows):
+    got = {
+        run: hashlib.sha256("".join("\t".join(row) + "\n" for row in rows).encode()).hexdigest()
+        for run, rows in contract_rows.items()
+    }
+    assert got == ROW_HASHES
+
+
 def test_degrees_suite_full_invariants(contract_rows):
     """The full-scale run reaches the staircase witnesses at l = 8 (that
     no row fails is asserted for every contract run above)."""
@@ -90,29 +115,22 @@ def test_degrees_suite_sends_one_job_per_fibre(monkeypatch):
 
 
 def test_core_confluence_fails_on_a_bar_core_that_stops_early(monkeypatch):
-    # each row's lhs is the one core every removal order reaches, so a
-    # bar_core stopping after two removals must fail the rows past weight
-    # two; suite_blocks then stops at block_members, which refuses such a
-    # "core", so its confluence rows are read where the suite builds them
+    # each confluence row's lhs is the one core every removal order
+    # reaches, so a bar_core stopping after two removals must fail the rows
+    # past weight two; the suite then reports its "cores" that are no bar
+    # core as failed member counts and goes on to its remaining checks
     def early(lam, p):
         current, weight = lam, 0
         while weight < 2 and (moves := barcores.bar_removals(current, p)):
             current, weight = moves[0].result, weight + 1
         return barcores.BarCoreResult(current, weight)
 
-    rows = []
-    real = verify._fan_out
-
-    def spy(fn, items, threads):
-        out = real(fn, items, threads)
-        rows.extend(out)
-        return out
-
-    monkeypatch.setattr(verify, "_fan_out", spy)
     monkeypatch.setattr(barcores, "bar_core", early)
-    with pytest.raises(PartitionError, match="is not a 3-bar core"):
-        verify.suite_blocks(3, 12)
+    rows = verify.suite_blocks(3, 12)
     failed = verify.failures(rows)
-    assert len(rows) == 86 and {row[1] for row in rows} == {"core_confluence"}
-    assert len(failed) == 50
+    assert len(rows) == 457
+    assert Counter(row[1] for row in failed) == {
+        "morris_yaseen": 108, "core_confluence": 50, "block_member_count": 11, "block_partition_of_set": 4,
+    }
     assert ("9", "core_confluence", "", "[()]", "[(3,)]", "FAIL") in failed
+    assert ("2,1", "block_member_count", "n=9,d=2", "not a bar core", "7", "FAIL") in failed
