@@ -177,13 +177,15 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = verify.suites_at(args.p) if args.suite == "all" else [args.suite]
+    options = dict(p=args.p, max_n=args.max_n, threads=args.threads, seed=args.seed, max_l=args.max_l)
+    if args.suite == "all":
+        # every suite's tasks on one runner, so workers share whole suites
+        results = verify.run_suites(verify.suites_at(args.p), **options)
+    else:
+        results = {args.suite: verify.run_suite(args.suite, **options)}
     bad = 0
     empty = []
-    for name in names:
-        rows = verify.run_suite(
-            name, p=args.p, max_n=args.max_n, threads=args.threads, seed=args.seed, max_l=args.max_l
-        )
+    for name, rows in results.items():
         print(f"# suite {name}: {len(rows)} checks")
         for row in rows:
             print("\t".join(row))

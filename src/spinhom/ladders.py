@@ -210,10 +210,10 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
       regularisation inequality on zz ("zzreglem").
 
     Every count is a per-ladder ``Counter`` built in one pass over lam
-    (and over its regularisation, for zzreglem), so an identity reads
-    ``counter[l]``; a ``Counter`` reads 0 at a negative ladder, which
-    holds no nodes.  The l == 0 case of the residue-0 identity carries a
-    -1 correction.
+    (and over its regularisation for zzreglem, at p >= 5 only), so an
+    identity reads ``counter[l]``; a ``Counter`` reads 0 at a negative
+    ladder, which holds no nodes.  The l == 0 case of the residue-0
+    identity carries a -1 correction.
     """
     require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
@@ -221,10 +221,11 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     sadds, srems = _boundary_by_ladder(lam, p, STRICT) if strict else (Counter(), Counter())
     lad = Counter(ladder_profile(lam, p))
     strs, zzs = _row_end_counts(lam, p)
-    reg_zzs = _row_end_counts(regularize(lam, p), p)[1]
+    half = (p - 1) // 2
+    # only zzreglem reads the regularisation's zz counts, and it needs p >= 5
+    reg_zzs = _row_end_counts(regularize(lam, p), p)[1] if half >= 2 else Counter()
 
     rows: list[IdentityRow] = []
-    half = (p - 1) // 2
     for l in range(0, max_relevant_ladder(lam, p) + 1):
         m = l % (p - 1)
         if m == half:

@@ -303,9 +303,10 @@ def test_verify_output_guards_hold_under_python_O():
         ("wreath", "--max-n", "5"),
         ("ladders", "--max-n", "8"),
         ("degrees", "--max-l", "5"),
+        ("branching", "--max-n", "8", "--threads", "2"),
     )
-    for suite, bound, value in cases:
-        argv = ["-m", "spinhom.cli", "verify", "--suite", suite, bound, value]
+    for suite, *flags in cases:
+        argv = ["-m", "spinhom.cli", "verify", "--suite", suite, *flags]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
         optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=120)
         assert plain.returncode == 0 and optimised.returncode == 0, suite
@@ -314,24 +315,36 @@ def test_verify_output_guards_hold_under_python_O():
 
 @pytest.mark.parametrize("threads", ["0", "-1", "cpus+1", "100000"])
 def test_verify_threads_out_of_range(capsys, monkeypatch, threads):
-    # no pool may be built, so an out-of-range value starts no process
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was built")
+    # nothing may fork, so an out-of-range value starts no process
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     cpus = os.cpu_count() or 1
     threads = str(cpus + 1) if threads == "cpus+1" else threads
     message = f"threads must be between 1 and {cpus}, got {threads}"
-    # tableaux never fans out, and still refuses the value
+    # the value is refused before a suite builds its tasks
     for suite in ("ladders", "tableaux"):
         assert main(["verify", "--suite", suite, "--max-n", "6", "--threads", threads]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-    # a library call that skips run_suite meets the bound where the pool is built
+    # a library call that skips run_suite meets the bound where the workers are forked
     with pytest.raises(ValueError) as exc:
-        verify.suite_ladders(3, 6, threads=int(threads))
+        verify.run_tasks(verify.suite_ladders(3, 6), int(threads))
     assert str(exc.value) == message
+    code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", "--threads", "1")
+    assert code == 0 and out
+
+
+def test_verify_threads_above_one_need_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    message = "threads above 1 need os.fork, which this platform lacks"
+    for suite in ("ladders", "all"):
+        assert main(["verify", "--suite", suite, "--max-n", "6", "--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
     code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", "--threads", "1")
     assert code == 0 and out
 

@@ -182,6 +182,25 @@ def test_ladder_stats_str_zz():
     assert ladders._row_end_counts((5, 4, 3), 3)[0][-2] == zzs[-2] == 0
 
 
+def test_regularisation_zz_counts_are_built_only_where_zzreglem_runs(monkeypatch):
+    # zzreglem, the one reader of the regularisation's zz counts, needs p >= 5
+    calls = []
+    real = ladders._row_end_counts
+
+    def spy(lam, p):
+        calls.append(lam)
+        return real(lam, p)
+
+    monkeypatch.setattr(ladders, "_row_end_counts", spy)
+    lam = (6, 6, 2)
+    check_ladder_identities(lam, 3)
+    assert calls == [lam]
+    calls.clear()
+    lam = (10, 3)
+    check_ladder_identities(lam, 5)
+    assert calls == [lam, regularize(lam, 5)] and calls[1] != lam
+
+
 def _str_count(lam, p, l):
     # reference: the per-ladder definition, rescanning every row for ladder l
     if l < 0:

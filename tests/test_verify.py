@@ -1,12 +1,18 @@
 import hashlib
 import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from spinhom import barcores, verify
 from spinhom.families import FAMILIES, admissible_row_tuples, staircase_adjusted
 from spinhom.ladders import regularize
+from spinhom.partitions import PartitionError
 
 
 def test_suite_rows_are_tsv_safe():
@@ -16,13 +22,17 @@ def test_suite_rows_are_tsv_safe():
 
 
 def test_determinism_across_thread_counts():
-    sequential = verify.suite_ladders(3, 10, threads=1)
-    parallel = verify.suite_ladders(3, 10, threads=max(2, min(4, os.cpu_count() or 2)))
+    tasks = verify.suite_ladders(3, 10)
+    sequential = verify.run_tasks(tasks, 1)
+    parallel = verify.run_tasks(tasks, max(2, min(4, os.cpu_count() or 2)))
     assert sequential == parallel
+    each = {}
     for name in verify.SUITES:
-        sequential = verify.run_suite(name, p=3, max_n=8, max_l=4, threads=1)
+        each[name] = verify.run_suite(name, p=3, max_n=8, max_l=4, threads=1)
         parallel = verify.run_suite(name, p=3, max_n=8, max_l=4, threads=2)
-        assert sequential == parallel, name
+        assert each[name] == parallel, name
+    # every suite's tasks on one run split back into the same suites
+    assert verify.run_suites(list(verify.SUITES), p=3, max_n=8, max_l=4, threads=2) == each
 
 
 def test_unknown_suite():
@@ -46,8 +56,8 @@ def test_p3_only_suites_are_refused_at_other_p(p):
 
 
 def test_wreath_suite_seeded_sample_is_stable():
-    a = verify.suite_wreath(3, 6, seed=0)
-    b = verify.suite_wreath(3, 6, seed=0)
+    a = verify.run_tasks(verify.suite_wreath(3, 6, seed=0), 1)
+    b = verify.run_tasks(verify.suite_wreath(3, 6, seed=0), 1)
     assert a == b
 
 
@@ -93,21 +103,13 @@ def test_degrees_suite_checks_every_equal_at_index(contract_rows):
     equal_rows = {(row[0], row[2]) for row in contract_rows["degrees", 3] if row[1] == "ratio_equal_at"}
     declared = {(name, f"l={l}") for name, fam in FAMILIES.items() for l in fam.equal_at if l <= 12}
     assert declared and equal_rows == declared
-    small = verify.suite_degrees(3, 4, max_l=2)
+    small = verify.run_suite("degrees", p=3, max_n=4, max_l=2)
     assert {(row[0], row[2]) for row in small if row[1] == "ratio_equal_at"} == {("deglem12", "l=1")}
 
 
-def test_degrees_suite_sends_one_job_per_fibre(monkeypatch):
-    # a worker ranks each fibre it sees, so no fibre may be split across jobs
-    jobs = []
-    real = verify._fan_out
-
-    def spy(fn, items, threads):
-        jobs.extend(items)
-        return real(fn, items, threads)
-
-    monkeypatch.setattr(verify, "_fan_out", spy)
-    verify.suite_degrees(3, 4, max_l=5)
+def test_degrees_suite_sends_one_job_per_fibre():
+    # a worker ranks each fibre it sees, so no fibre may be split across tasks
+    jobs = [args for fn, args in verify.suite_degrees(3, 4, max_l=5) if fn is verify._staircase_witness_rows]
     fibres = [{regularize(staircase_adjusted(l, tup), 3) for tup in tups} for l, tups in jobs]
     assert len(jobs) == 6 and all(len(fibre) == 1 for fibre in fibres)
     assert len(set().union(*fibres)) == 6
@@ -126,7 +128,7 @@ def test_core_confluence_fails_on_a_bar_core_that_stops_early(monkeypatch):
         return barcores.BarCoreResult(current, weight)
 
     monkeypatch.setattr(barcores, "bar_core", early)
-    rows = verify.suite_blocks(3, 12)
+    rows = verify.run_suite("blocks", p=3, max_n=12)
     failed = verify.failures(rows)
     assert len(rows) == 457
     assert Counter(row[1] for row in failed) == {
@@ -134,3 +136,106 @@ def test_core_confluence_fails_on_a_bar_core_that_stops_early(monkeypatch):
     }
     assert ("9", "core_confluence", "", "[()]", "[(3,)]", "FAIL") in failed
     assert ("2,1", "block_member_count", "n=9,d=2", "not a bar core", "7", "FAIL") in failed
+
+
+# the tasks below run only on forked workers; in the parent they would end
+# or stall the test session, so they refuse to run there
+PARENT = os.getpid()
+
+
+def _in_worker() -> None:
+    if os.getpid() == PARENT:
+        raise AssertionError("a task ran in the parent")
+
+
+def _exits_unreported() -> list:
+    _in_worker()
+    os._exit(1)
+
+
+def _sleeps() -> list:
+    _in_worker()
+    time.sleep(60)
+    return []
+
+
+def _numbered(i: int) -> list:
+    return [(str(i), "numbered", "", "", "", "ok")]
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """A run that stalls raises TimeoutError after 60 s instead of hanging."""
+
+    def stalled(signum, frame):
+        raise TimeoutError("the runner stalled")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_task_error_in_a_worker_is_raised_again_in_the_parent(deadline):
+    # a partition that is not 3-strict: its task raises in the worker
+    tasks = verify.suite_ladders(3, 8) + [(verify._ladder_rows, ((2, 2), 3))] + verify.suite_ladders(3, 4)
+    with pytest.raises(PartitionError) as serial:
+        verify.run_tasks(tasks, 1)
+    with pytest.raises(PartitionError) as forked:
+        verify.run_tasks(tasks, 2)
+    assert type(forked.value) is PartitionError
+    assert str(forked.value) == str(serial.value)
+    assert "in require_shape" in str(forked.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_a_worker_that_ends_without_reporting_fails_the_run(deadline):
+    # a run that lost a task's rows must raise, never return fewer rows
+    tasks = verify.suite_ladders(3, 8) + [(_exits_unreported, ())] + verify.suite_ladders(3, 4)
+    with pytest.raises(RuntimeError, match="unreported"):
+        verify.run_tasks(tasks, 2)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch, deadline):
+    # the first wait is interrupted, as by Ctrl-C, while both workers sleep
+    real = os.waitpid
+    calls = []
+
+    def interrupted(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_tasks([(_sleeps, ())] * 2, 2)
+    assert time.monotonic() - start < 30
+    monkeypatch.undo()
+    _assert_no_child_left()
+
+
+def test_a_queue_longer_than_a_pipe_holds_runs_in_task_order(deadline):
+    # 20000 indices fill more than a 64 KiB pipe, so the parent must fork
+    # before it queues them, or it stalls
+    tasks = [(_numbered, (i,)) for i in range(20000)]
+    assert verify.run_tasks(tasks, 2) == verify.run_tasks(tasks, 1)
+    _assert_no_child_left()
+
+
+def test_workers_never_write_the_parents_buffered_output():
+    # stdout to a pipe is block-buffered, so "before" is still in the
+    # buffer when the workers are forked; a worker that flushed it on exit
+    # would print it again
+    code = "from spinhom import verify; print('before'); verify.run_tasks(verify.suite_ladders(3, 6), 2); print('after')"
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stdout == b"before\nafter\n"
