@@ -13,13 +13,19 @@ forward bar addition from its core; ``reg_preimages`` enumerates the
 strict partitions with a prescribed regularisation by matching ladder
 profiles directly, which stays fast even when the ambient block is
 huge, and checks its output through those profiles, with a single
-``regularize`` per fibre.
+``regularize`` per fibre.  Its search prunes on the budget: below a row
+of length c the strictly shorter rows hold at most c(c-1)/2 nodes, so a
+partial partition with more of the profile left to place is dropped.
+
+``bar_core`` and ``is_bar_core`` read only the first removal of
+``_bar_moves``, the generator behind ``bar_removals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .ladders import _MEMO_SIZE, ladder_profile, regularize
 from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, has_shape, is_p_strict, require_shape
@@ -31,10 +37,14 @@ class BarRemoval:
     result: Partition
 
 
-def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
-    """All single p-bar removals from lam, each yielding a p-strict result."""
+def _bar_moves(lam: Partition, p: int) -> Iterator[BarRemoval]:
+    """The single p-bar removals from lam, lowered parts first, each
+    result checked p-strict as it is made.
+
+    A caller that needs only the first removal, or only whether there
+    is one, stops after it and pays for that one alone.
+    """
     require_shape(lam, PSTRICT, p)
-    out: list[BarRemoval] = []
     parts = set(lam)
     for r, a in enumerate(lam, start=1):
         if a < p:
@@ -46,7 +56,7 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
         result = tuple(sorted((x for x in rest if x > 0), reverse=True))
         if not is_p_strict(result, p):
             raise RuntimeError(f"lowering part {a} of {lam} by {p} gives {result}, not {p}-strict")
-        out.append(BarRemoval("decrease", result))
+        yield BarRemoval("decrease", result)
     for r in range(len(lam)):
         for s in range(r + 1, len(lam)):
             if lam[r] + lam[s] == p:
@@ -54,8 +64,12 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
                 result = tuple(rest)
                 if not is_p_strict(result, p):
                     raise RuntimeError(f"deleting parts {lam[r]}, {lam[s]} of {lam} gives {result}, not {p}-strict")
-                out.append(BarRemoval("delete_pair", result))
-    return out
+                yield BarRemoval("delete_pair", result)
+
+
+def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
+    """All single p-bar removals from lam, each yielding a p-strict result."""
+    return list(_bar_moves(lam, p))
 
 
 @dataclass(frozen=True)
@@ -68,17 +82,15 @@ class BarCoreResult:
 def bar_core(lam: Partition, p: int) -> BarCoreResult:
     """Iterate bar removal to its fixed point (order independent).
 
-    Memoised on the last ``_MEMO_SIZE`` (64) arguments, enough for every
-    strict partition of one n <= 16; every check runs on each miss, and
-    an input that raises is never stored.
+    Each step takes the first removal alone.  Memoised on the last
+    ``_MEMO_SIZE`` (64) arguments, enough for every strict partition of
+    one n <= 16; every check runs on each miss, and an input that
+    raises is never stored.
     """
     current = lam
     weight = 0
-    while True:
-        moves = bar_removals(current, p)
-        if not moves:
-            break
-        current = moves[0].result
+    while (move := next(_bar_moves(current, p), None)) is not None:
+        current = move.result
         weight += 1
     if sum(lam) != sum(current) + p * weight:
         raise RuntimeError(f"bar core {current} of weight {weight} does not account for {lam} at p={p}")
@@ -86,7 +98,8 @@ def bar_core(lam: Partition, p: int) -> BarCoreResult:
 
 
 def is_bar_core(lam: Partition, p: int) -> bool:
-    return is_p_strict(lam, p) and not bar_removals(lam, p)
+    """True if lam is p-strict and has no p-bar removal; stops at the first one."""
+    return is_p_strict(lam, p) and next(_bar_moves(lam, p), None) is None
 
 
 def same_block(lam: Partition, mu: Partition, p: int) -> bool:
@@ -141,7 +154,13 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     fibre consists of the strict partitions with the same profile;
     they are found by a row-by-row search with the profile as budget.
     Ladders below (p-1)*(r-1) are untouchable from row r on, which
-    prunes hard.
+    prunes hard: row r can start only while its first cell (r, 1), the
+    one open position of ladder (p-1)*(r-1), is the one node left there,
+    and that is tested before the search descends to the row.  The
+    search also descends below a row of length c only while the budget
+    left is at most c(c-1)/2: the rows below are strictly shorter, so
+    they hold at most (c-1) + (c-2) + ... + 1 nodes, and a larger
+    budget can never be spent.
 
     The fibre is checked once, through profiles: every member must be
     p-strict with exactly mu's profile, and one member must regularise
@@ -162,35 +181,38 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     out: list[Partition] = []
 
     def rec(r: int, prev: int, acc: list[int]) -> None:
-        # invariant on entry: every ladder below (p-1)(r-1) is exhausted
+        # invariant on entry: the budget is positive, every ladder below
+        # base = (p-1)(r-1) is exhausted and ladder base has one node left
         nonlocal budget
         base = (p - 1) * (r - 1)
-        if budget == 0:
-            out.append(tuple(acc))
-            # longer extensions would need fresh budget, so stop here
-            return
-        if base > max_l or remaining[base] != 1:
-            # the only open position of ladder (p-1)(r-1) is (r, 1)
-            return
-        cap = prev - 1
+        below = base + p - 1  # the ladder of the next row's first cell
         consumed: list[int] = []
         acc.append(0)
-        for c in range(1, cap + 1):
+        for c in range(1, prev):
             l = base + ((p - 1) * c) // p
             if l > max_l or remaining[l] == 0:
                 break
             remaining[l] -= 1
             budget -= 1
             consumed.append(l)
-            # rows below row r can no longer reach ladders under base + p - 1
-            if not any(remaining[base : base + p - 1]):
-                acc[-1] = c
+            acc[-1] = c
+            if budget == 0:
+                # longer extensions would need fresh budget, so stop here
+                out.append(tuple(acc))
+            elif (
+                budget <= c * (c - 1) // 2
+                and below <= max_l
+                and remaining[below] == 1
+                # rows below row r can no longer reach ladders under base + p - 1
+                and not any(remaining[base:below])
+            ):
                 rec(r + 1, c, acc)
         acc.pop()
         for l in consumed:
             remaining[l] += 1
             budget += 1
 
+    # ladder 0 is the single cell (1, 1), so the entry invariant holds at row 1
     rec(1, sum(mu) + p, [])
     result = sorted(out, reverse=True)
     for lam in result:

@@ -22,7 +22,9 @@ clash with the row above it, which clashes least when grown as far as
 it can go; one pass down the rows, carrying that farthest length,
 decides every row, and shrinking is the mirror image, one pass up.
 Each row's feasible amounts form a range from 0, and its boundary
-nodes are the cells up to the farthest one.
+nodes are the cells up to the farthest one.  A residue depends only on
+the column mod p, so the sweep reads it from the residue table of p
+(``_column_residues``, one entry per class mod p).
 
 On restricted p-strict partitions the i-signature (boundary nodes read
 by increasing column, "+" for addable, "-" for removable) reduces by
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .ladders import _MEMO_SIZE, ladder_index, regularize, residue
 from .partitions import (
@@ -63,6 +66,15 @@ def _require_direction(direction: str) -> None:
         raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
 
 
+@lru_cache(maxsize=None)
+def _column_residues(p: int) -> tuple[int, ...]:
+    """The residue table of p: entry c % p is the residue of column c.
+
+    Memoised without a bound: one entry per prime met.
+    """
+    return tuple(residue(1, c, p) for c in range(p))
+
+
 def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
     """Per row, the farthest signed change occurring in a valid joint i-move.
 
@@ -76,6 +88,8 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
     and up them when shrinking, carrying the shortest length of the row
     below.
     """
+    residues = _column_residues(p)
+    pstrict = mode == PSTRICT
     rows = list(lam) + [0] if direction > 0 else list(lam)
     reach = [0] * len(rows)
     order = range(len(rows)) if direction > 0 else range(len(rows) - 1, -1, -1)
@@ -84,12 +98,12 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
         base = rows[k]
         for j in (1, 2):
             c = base + j if direction > 0 else base - j + 1
-            if c < 1 or residue(k + 1, c, p) != i:
+            if c < 1 or residues[c % p] != i:
                 break
             if carried is not None:
                 # upper row a, lower row b: a == b only as the mode allows
                 a, b = (carried, base + j) if direction > 0 else (base - j, carried)
-                if a < b or a == b and (a % p if mode == PSTRICT else a):
+                if a < b or a == b and (a % p if pstrict else a):
                     break
             reach[k] = direction * j
         carried = base + reach[k]
@@ -101,32 +115,31 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
     """Addable and removable i-nodes of lam in the given sense.
 
     The nodes of row r are the cells between lam_r and lam_r + e_r, for
-    e_r the row's entry of ``_reach`` in each direction.  Both tuples
-    come back ordered by increasing column; across the two all columns
-    are distinct (checked), which is what makes the signature reading
-    order well defined.  Memoised on the last ``_MEMO_SIZE`` (64)
-    arguments; every check runs on each miss, and an input that raises
-    is never stored.
+    e_r the row's entry of ``_reach`` in each direction; ``_reach`` reads
+    each cell's residue from the residue table ``_column_residues``.
+    Both tuples come back ordered by increasing column; across the two
+    all columns are distinct (checked), which is what makes the
+    signature reading order well defined.  Memoised on the last
+    ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
+    input that raises is never stored.
     """
     if mode not in (STRICT, PSTRICT):
         raise PartitionError(f"unknown mode {mode!r}")
     require_shape(lam, mode, p)
     _require_residue(i, p)
-    rows = lam + (0,)
     addables = [
-        (r, rows[r - 1] + j)
-        for r, top in enumerate(_reach(lam, i, p, mode, +1), start=1)
+        (r, a + j)
+        for r, (a, top) in enumerate(zip(lam + (0,), _reach(lam, i, p, mode, +1)), start=1)
         for j in range(1, top + 1)
     ]
     removables = [
-        (r, lam[r - 1] - j + 1)
-        for r, depth in enumerate(_reach(lam, i, p, mode, -1), start=1)
+        (r, a - j + 1)
+        for r, (a, depth) in enumerate(zip(lam, _reach(lam, i, p, mode, -1)), start=1)
         for j in range(1, 1 - depth)
     ]
-    addables.sort(key=lambda rc: rc[1])
-    removables.sort(key=lambda rc: rc[1])
-    cols = [c for _, c in addables] + [c for _, c in removables]
-    if len(cols) != len(set(cols)):
+    addables.sort(key=itemgetter(1))
+    removables.sort(key=itemgetter(1))
+    if len({c for _, c in addables + removables}) != len(addables) + len(removables):
         raise RuntimeError(f"boundary {i}-nodes of {lam} share a column (p={p}, mode={mode})")
     return tuple(addables), tuple(removables)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .barcores import bar_removals
+from .barcores import is_bar_core
 from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
 from .dimensions import degree_witness
 from .ladders import regularize
@@ -122,13 +122,13 @@ def core_join_three(lam: Partition) -> Partition | None:
     if 3 not in lam:
         return None
     rest = tuple(a for a in lam if a != 3)
-    return None if bar_removals(rest, 3) else rest
+    return rest if is_bar_core(rest, 3) else None
 
 
 def classify_homogeneous(lam: Partition) -> Verdict:
     """Homogeneity verdict of a strict partition at p = 3."""
     require_shape(lam, STRICT)
-    if not bar_removals(lam, 3):
+    if is_bar_core(lam, 3):
         return Verdict(PROVEN_HOM, "BarCore_weight0")
     special = special_decompose(lam)
     if special is None:

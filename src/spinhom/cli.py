@@ -186,9 +186,8 @@ def cmd_verify(args) -> int:
     bad = 0
     empty = []
     for name, rows in results.items():
-        print(f"# suite {name}: {len(rows)} checks")
-        for row in rows:
-            print("\t".join(row))
+        # one write per suite: a print per row costs more than the join
+        sys.stdout.write("".join([f"# suite {name}: {len(rows)} checks\n", *("\t".join(row) + "\n" for row in rows)]))
         bad += len(verify.failures(rows))
         if not rows:
             empty.append(name)
@@ -279,6 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values print in full however long (dim 100000 is 2^50000, of
+    # 15052 digits): lift the interpreter's int-to-str digit limit, where
+    # it has one, for this call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "p"):
@@ -287,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # PartitionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

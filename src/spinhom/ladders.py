@@ -115,6 +115,23 @@ def ladder_profile(lam: Partition, p: int) -> dict[int, int]:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _ladder_fill(l: int, k: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    """(row index from 0, cells, widest column) of each row that the first
+    k positions of ladder l meet, for ``regularize``.
+
+    Memoised without a bound: a partition of n meets one entry per
+    non-empty ladder, and the ladders and fill counts of all strict
+    partitions of n <= 34 at p = 3 make 61 entries.
+    """
+    rows: dict[int, list[int]] = {}
+    for r, c in ladder_positions(l, p)[:k]:
+        entry = rows.setdefault(r - 1, [0, 0])
+        entry[0] += 1
+        entry[1] = max(entry[1], c)
+    return tuple((r, cells, widest) for r, (cells, widest) in rows.items())
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def regularize(lam: Partition, p: int) -> Partition:
     """Slide all nodes to the leftmost free positions of their ladders.
@@ -124,22 +141,29 @@ def regularize(lam: Partition, p: int) -> Partition:
     ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
     input that raises is never stored.
 
-    The nodes placed in one row sit in distinct positive columns, so they
-    fill the initial segment 1..a of the row exactly when the widest of
-    them is column a: the fill guard compares the two per row.
+    Each ladder l holding k nodes fills its first k positions; the row
+    counts and widest columns of that fill come from the per-ladder fill
+    memo ``_ladder_fill`` (keyed on l, k and p), and are summed into one
+    list per row.  The nodes placed in one row sit in distinct positive
+    columns, so they fill the initial segment 1..a of the row exactly
+    when the widest of them is column a: the fill guard compares the two
+    per row.
     """
     require_shape(lam, PSTRICT, p)
     profile = ladder_profile(lam, p)
-    row_cells: Counter[int] = Counter()
-    widest: Counter[int] = Counter()
+    height = max(profile, default=0) // (p - 1) + 1  # ladder l reaches row l // (p-1) + 1
+    cells = [0] * height
+    widest = [0] * height
     for l, k in profile.items():
-        for r, c in ladder_positions(l, p)[:k]:
-            row_cells[r] += 1
+        for r, n, c in _ladder_fill(l, k, p):
+            cells[r] += n
             if c > widest[r]:
                 widest[r] = c
-    out = tuple(row_cells[r] for r in range(1, max(row_cells, default=0) + 1))
-    if any(widest[r] != a for r, a in enumerate(out, start=1)):
+    while cells and not cells[-1]:
+        cells.pop()
+    if widest[: len(cells)] != cells:
         raise RuntimeError(f"regularisation of {lam} at p={p} does not fill initial row segments")
+    out = tuple(cells)
     if not is_restricted(out, p):
         raise RuntimeError(f"regularisation {out} of {lam} is not restricted {p}-strict")
     return out

@@ -322,13 +322,21 @@ def suite_branching(p: int, max_n: int) -> list[Task]:
 
 
 def _all_cores(lam: Partition, p: int) -> set[Partition]:
-    moves = barcores.bar_removals(lam, p)
-    if not moves:
-        return {lam}
-    out: set[Partition] = set()
-    for move in moves:
-        out |= _all_cores(move.result, p)
-    return out
+    """Every bar core some order of bar removals reaches from lam.
+
+    The cores reached from a partition do not depend on the path that
+    led to it, so each partition on the way is expanded once, through a
+    memo that lives for this call.
+    """
+    memo: dict[Partition, frozenset[Partition]] = {}
+
+    def reach(mu: Partition) -> frozenset[Partition]:
+        if mu not in memo:
+            moves = barcores.bar_removals(mu, p)
+            memo[mu] = frozenset().union(*(reach(move.result) for move in moves)) if moves else frozenset((mu,))
+        return memo[mu]
+
+    return set(reach(lam))
 
 
 def _blocks_confluence_rows(lam: Partition, p: int) -> list[Row]:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import p_strict
+import spinhom
 from spinhom import barcores
 from spinhom.barcores import (
     BarCoreResult,
@@ -15,7 +20,8 @@ from spinhom.barcores import (
     reg_preimages,
     same_block,
 )
-from spinhom.ladders import content, regularize
+from spinhom.classify import classify_homogeneous
+from spinhom.ladders import content, ladder_profile, regularize
 from spinhom.partitions import (
     PartitionError,
     is_restricted,
@@ -30,12 +36,16 @@ from spinhom.partitions import (
 
 @pytest.mark.parametrize("lam", [(4,), (2, 1)])
 def test_bar_removal_guard_raises_runtime_error(monkeypatch, lam):
-    # the input passes the p-strict check, the lowered or pair-deleted result is made to fail it
+    # the input passes the p-strict check, the lowered or pair-deleted result
+    # is made to fail it; bar_core and classify_homogeneous take the first
+    # removal alone, which is that corrupted one
     import spinhom.barcores as barcores
 
     monkeypatch.setattr(barcores, "is_p_strict", lambda mu, p: mu == lam)
-    with pytest.raises(RuntimeError, match="not 3-strict"):
-        bar_removals(lam, 3)
+    bar_core.cache_clear()  # memoised: a stored lam would skip the removals
+    for call in (bar_removals, bar_core, lambda lam, p: classify_homogeneous(lam)):
+        with pytest.raises(RuntimeError, match="not 3-strict"):
+            call(lam, 3)
 
 
 def test_bar_core_guard_raises_runtime_error(monkeypatch):
@@ -44,7 +54,7 @@ def test_bar_core_guard_raises_runtime_error(monkeypatch):
 
     moves = {(5,): [barcores.BarRemoval("decrease", (1,))], (1,): []}
     bar_core.cache_clear()  # memoised: a stored (5,) would skip the patched removals
-    monkeypatch.setattr(barcores, "bar_removals", lambda lam, p: moves[lam])
+    monkeypatch.setattr(barcores, "_bar_moves", lambda lam, p: iter(moves[lam]))
     with pytest.raises(RuntimeError, match="does not account"):
         bar_core((5,), 3)
 
@@ -191,6 +201,58 @@ def test_reg_preimages_rejects_a_fibre_that_regularises_elsewhere(monkeypatch):
         reg_preimages((6, 4, 1), 3)
 
 
+def _fibre_search_reference(mu, p):
+    # the fibre search before its budget prune, kept as the reference:
+    # it recurses into every row and tests the row's entry condition on entry
+    target = ladder_profile(mu, p)
+    if not target:
+        return [()]
+    max_l = max(target)
+    remaining = [0] * (max_l + 1)
+    for l, k in target.items():
+        remaining[l] = k
+    budget = sum(remaining)
+    out = []
+
+    def rec(r, prev, acc):
+        nonlocal budget
+        base = (p - 1) * (r - 1)
+        if budget == 0:
+            out.append(tuple(acc))
+            return
+        if base > max_l or remaining[base] != 1:
+            return
+        consumed = []
+        acc.append(0)
+        for c in range(1, prev):
+            l = base + ((p - 1) * c) // p
+            if l > max_l or remaining[l] == 0:
+                break
+            remaining[l] -= 1
+            budget -= 1
+            consumed.append(l)
+            if not any(remaining[base : base + p - 1]):
+                acc[-1] = c
+                rec(r + 1, c, acc)
+        acc.pop()
+        for l in consumed:
+            remaining[l] += 1
+            budget += 1
+
+    rec(1, sum(mu) + p, [])
+    return sorted(out, reverse=True)
+
+
+@pytest.mark.parametrize("p,max_n", [(3, 30), (5, 22)])
+def test_reg_preimages_match_the_unpruned_search(p, max_n):
+    # every fibre met by a strict partition of n <= max_n; the brute-force
+    # oracle below stops at n = 15, where no fibre is large
+    fibres = {regularize(lam, p) for n in range(max_n + 1) for lam in strict_partitions_of(n)}
+    assert len(fibres) == {3: 500, 5: 285}[p]
+    for mu in fibres:
+        assert reg_preimages(mu, p) == _fibre_search_reference(mu, p), (p, mu)
+
+
 @pytest.mark.parametrize("p,max_n", [(3, 15), (5, 12)])
 def test_reg_preimages_match_brute_force(p, max_n):
     for n in range(max_n + 1):
@@ -199,3 +261,37 @@ def test_reg_preimages_match_brute_force(p, max_n):
             fibres.setdefault(regularize(lam, p), set()).add(lam)
         for mu, fibre in fibres.items():
             assert set(reg_preimages(mu, p)) == fibre, (p, mu)
+
+
+# the corruptions of the guard and confluence tests, for a -O interpreter
+# that need not load pytest and hypothesis
+_CORRUPTED_UNDER_O = """
+from spinhom import barcores, classify, verify
+real_is_p_strict, real_removals, real_core = barcores.is_p_strict, barcores.bar_removals, barcores.bar_core
+barcores.is_p_strict = lambda mu, p: mu == (4,)
+for call in (barcores.bar_core, lambda lam, p: classify.classify_homogeneous(lam)):
+    try:
+        print(call((4,), 3))
+    except RuntimeError as exc:
+        print(type(exc).__name__, exc)
+barcores.is_p_strict = real_is_p_strict
+barcores.bar_core = lambda lam, p: barcores.BarCoreResult(real_removals(lam, p)[0].result, 1)
+print(verify._blocks_confluence_rows((9,), 3))
+barcores.bar_core = real_core
+extra = [barcores.BarRemoval("decrease", (2,))]
+barcores.bar_removals = lambda lam, p: real_removals(lam, p) + (extra if lam == (7,) else [])
+print(verify._blocks_confluence_rows((10,), 3))
+"""
+
+
+def test_bar_move_guards_fire_under_python_o():
+    # the guards are raises, not asserts, so -O keeps them
+    env = {**os.environ, "PYTHONPATH": str(Path(spinhom.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_UNDER_O], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["RuntimeError lowering part 4 of (4,) by 3 gives (1,), not 3-strict"] * 2 + [
+        "[('9', 'core_confluence', '', '[()]', '[(6,)]', 'FAIL')]",
+        "[('10', 'core_confluence', '', '[(1,), (2,)]', '[(1,)]', 'FAIL')]",
+    ]

@@ -71,6 +71,22 @@ def test_dim_ddeg_witness(capsys):
     assert json.loads(out) == {"witness": None}
 
 
+def test_dim_prints_exact_values_past_the_int_digit_limit(capsys):
+    # dim 100000 is 2^50000, of 15052 digits, past Python's default 4300-digit
+    # limit on int-to-str conversion; main lifts it for its own call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = run(capsys, "dim", "100000")
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out) == {"dim": 2**50000, "g": 1, "two_exp": 50000}
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_sst(capsys):
     code, out = run(capsys, "sst", "3,2,1", "--count-only")
     assert json.loads(out) == {"count": 2}

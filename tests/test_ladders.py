@@ -107,11 +107,13 @@ def test_regularize_fill_guard_fires_on_a_hole(monkeypatch):
     real = ladders.ladder_positions
     monkeypatch.setattr(ladders, "ladder_positions", lambda l, p: ((1, 3),) if (l, p) == (1, 3) else real(l, p))
     regularize.cache_clear()
+    ladders._ladder_fill.cache_clear()  # the fill memo reads ladder_positions
     try:
         with pytest.raises(RuntimeError, match="does not fill initial row segments"):
             regularize((2,), 3)
     finally:
         regularize.cache_clear()
+        ladders._ladder_fill.cache_clear()
 
 
 def _regularize_by_node_moves(lam, p):
@@ -147,6 +149,13 @@ def test_regularize_properties(p, max_n):
     for n in range(max_n + 1):
         for lam in p_strict_partitions_of(n, p):
             assert regularize(lam, p) == _regularize_by_node_moves(lam, p), lam
+
+
+def test_regularize_properties_p3_up_to_30():
+    """The per-ladder fill memo against node moves on the larger p = 3 range, 15 <= n <= 30."""
+    for n in range(15, 31):
+        for lam in p_strict_partitions_of(n, 3):
+            assert regularize(lam, 3) == _regularize_by_node_moves(lam, 3), lam
 
 
 def _strict_nodes_in_ladder(lam, p, l):

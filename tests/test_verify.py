@@ -138,6 +138,23 @@ def test_core_confluence_fails_on_a_bar_core_that_stops_early(monkeypatch):
     assert ("2,1", "block_member_count", "n=9,d=2", "not a bar core", "7", "FAIL") in failed
 
 
+def test_core_confluence_fails_on_a_removal_to_a_foreign_core(monkeypatch):
+    # one extra removal (7,) -> (2,) makes the core (2,) reachable from (7,)
+    # and from every partition whose removals pass through it; bar_core takes
+    # first removals alone and still ends at (1,), so exactly those rows fail
+    real = barcores.bar_removals
+    extra = [barcores.BarRemoval("decrease", (2,))]
+    monkeypatch.setattr(barcores, "bar_removals", lambda lam, p: real(lam, p) + (extra if lam == (7,) else []))
+    rows = verify.run_suite("blocks", p=3, max_n=12)
+    failed = verify.failures(rows)
+    assert len(rows) == 450
+    # (10,), (7, 3) and (7, 2, 1) are the partitions of n <= 12 with a removal to (7,)
+    assert failed == [
+        (lam, "core_confluence", "", "[(1,), (2,)]", "[(1,)]", "FAIL") for lam in ("7", "10", "7,3", "7,2,1")
+    ]
+    assert ("4", "core_confluence", "", "[(1,)]", "[(1,)]", "ok") in rows
+
+
 # the tasks below run only on forked workers; in the parent they would end
 # or stall the test session, so they refuse to run there
 PARENT = os.getpid()
