@@ -32,6 +32,16 @@ cancelling adjacent "+-" pairs to -^eps +^phi; the surviving nodes are
 the normal and conormal ones, and removing the rightmost normal /
 adding the leftmost conormal node gives the operators tilde_e and
 tilde_f.
+
+``normal_extremal`` (tilde_e or tilde_f to exhaustion) moves every
+normal (conormal) node of one signature at once.  Removing the
+rightmost normal node turns its "-" into a "+" to the right of every
+remaining "-", so the remaining normal nodes stay normal; dually for
+the leftmost conormal node.  Checked against the iterated operators on
+every restricted mu, i and direction for p = 3, 5, 7, 11 up to n = 45,
+36, 30, 26 (46848 cases), where each tilde operator's node was also
+always a row end (24919 cases).  Every node move here goes through the
+checked ``partitions.move_nodes``.
 """
 
 from __future__ import annotations
@@ -45,15 +55,15 @@ from .partitions import (
     PSTRICT,
     RESTRICTED,
     STRICT,
+    Node,
     Partition,
     PartitionError,
     is_odd_partition,
     is_restricted,
     is_strict,
+    move_nodes,
     require_shape,
 )
-
-Node = tuple[int, int]
 
 
 def _require_residue(i: int, p: int) -> None:
@@ -191,37 +201,32 @@ def signature(mu: Partition, i: int, p: int) -> SignatureReport:
     return SignatureReport(raw, reduced, normals, conormals)
 
 
-def _with_row(lam: Partition, r: int, value: int) -> Partition:
-    rows = list(lam)
-    if r == len(rows) + 1:
-        rows.append(value)
-    else:
-        rows[r - 1] = value
-    return tuple(a for a in rows if a > 0)
+def _restricted_move(mu: Partition, i: int, p: int, nodes: tuple[Node, ...], direction: str) -> Partition:
+    """Remove ("down") or add ("up") the given i-nodes; the result must be restricted."""
+    out = move_nodes(mu, nodes, -1 if direction == "down" else 1)
+    if not is_restricted(out, p):
+        op = "tilde_e" if direction == "down" else "tilde_f"
+        raise RuntimeError(f"{op} of {mu} at i={i} gives {out}, not restricted {p}-strict")
+    return out
+
+
+def _tilde(mu: Partition, i: int, p: int, direction: str) -> Partition:
+    """tilde_e ("down") or tilde_f ("up") of mu."""
+    sig = signature(mu, i, p)
+    nodes = sig.normals[-1:] if direction == "down" else sig.conormals[:1]
+    if not nodes:
+        raise PartitionError(f"{mu} has no {'normal' if direction == 'down' else 'conormal'} {i}-node")
+    return _restricted_move(mu, i, p, nodes, direction)
 
 
 def tilde_e(mu: Partition, i: int, p: int) -> Partition:
     """Remove the rightmost normal i-node."""
-    sig = signature(mu, i, p)
-    if not sig.normals:
-        raise PartitionError(f"{mu} has no normal {i}-node")
-    r, c = sig.normals[-1]
-    out = _with_row(mu, r, c - 1)
-    if not is_restricted(out, p):
-        raise RuntimeError(f"tilde_e of {mu} at i={i} gives {out}, not restricted {p}-strict")
-    return out
+    return _tilde(mu, i, p, "down")
 
 
 def tilde_f(mu: Partition, i: int, p: int) -> Partition:
     """Add the leftmost conormal i-node."""
-    sig = signature(mu, i, p)
-    if not sig.conormals:
-        raise PartitionError(f"{mu} has no conormal {i}-node")
-    r, c = sig.conormals[0]
-    out = _with_row(mu, r, c)
-    if not is_restricted(out, p):
-        raise RuntimeError(f"tilde_f of {mu} at i={i} gives {out}, not restricted {p}-strict")
-    return out
+    return _tilde(mu, i, p, "up")
 
 
 def eps_i(mu: Partition, i: int, p: int) -> int:
@@ -233,16 +238,10 @@ def phi_i(mu: Partition, i: int, p: int) -> int:
 
 
 def normal_extremal(mu: Partition, i: int, p: int, direction: str) -> Partition:
-    """Iterate tilde_e (direction "down") or tilde_f ("up") to exhaustion."""
+    """tilde_e ("down") or tilde_f ("up") to exhaustion, as one move (module docstring)."""
     _require_direction(direction)
-    out = mu
-    if direction == "down":
-        for _ in range(eps_i(mu, i, p)):
-            out = tilde_e(out, i, p)
-    else:
-        for _ in range(phi_i(mu, i, p)):
-            out = tilde_f(out, i, p)
-    return out
+    sig = signature(mu, i, p)
+    return _restricted_move(mu, i, p, sig.normals if direction == "down" else sig.conormals, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +259,14 @@ def extremal(lam: Partition, i: int, p: int, direction: str) -> ExtremalResult:
 
     The joint move must itself leave a strict partition; that the full
     set of boundary nodes can be moved at once is checked rather than
-    assumed.
+    assumed (``move_nodes`` checks each cell against its row's end).
     """
     _require_direction(direction)
     adds, rems = boundary_nodes(lam, i, p, STRICT)
     moved = adds if direction == "up" else rems
-    rows = list(lam) + [0]
-    for r, _ in moved:
-        rows[r - 1] += 1 if direction == "up" else -1
-    out = tuple(a for a in rows if a > 0)
+    out = move_nodes(lam, moved, 1 if direction == "up" else -1)
     if not is_strict(out):
         raise PartitionError(f"joint {direction} move of all {i}-nodes breaks strictness: {lam}")
-    if abs(sum(out) - sum(lam)) != len(moved):
-        raise RuntimeError(f"joint {direction} move of the {len(moved)} {i}-nodes of {lam} gives {out}")
     return ExtremalResult(out, len(moved))
 
 
@@ -296,17 +290,13 @@ def branch_multiset(lam: Partition, i: int, p: int, direction: str) -> list[tupl
     _require_direction(direction)
     lam_odd = is_odd_partition(lam)
     out: list[tuple[Partition, int]] = []
-    top = len(lam) if direction == "down" else len(lam) + 1
-    for r in range(1, top + 1):
-        base = lam[r - 1] if r <= len(lam) else 0
-        c = base if direction == "down" else base + 1
-        if c < 1 or residue(r, c, p) != i:
-            continue
-        mu = _with_row(lam, r, base - 1 if direction == "down" else base + 1)
-        if not is_strict(mu):
-            continue
-        coeff = 2 if lam_odd and not is_odd_partition(mu) else 1
-        out.append((mu, coeff))
+    step = -1 if direction == "down" else 1
+    for r, base in enumerate(lam if step < 0 else lam + (0,), start=1):
+        c = base if step < 0 else base + 1
+        if residue(r, c, p) == i:
+            mu = move_nodes(lam, ((r, c),), step)
+            if is_strict(mu):
+                out.append((mu, 2 if lam_odd and not is_odd_partition(mu) else 1))
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .barcores import reg_preimages
 from .ladders import is_p_odd, regularize
@@ -42,10 +42,11 @@ class DimensionReport:
 
 
 def _tableau_factor(lam: Partition) -> int:
-    """n!/prod(lam_r!) * prod(lam_r - lam_s)/prod(lam_r + lam_s), exactly."""
+    """n!/prod(lam_r!) * prod(lam_r - lam_s)/prod(lam_r + lam_s), exactly;
+    n!/lam_1! is the product lam_1 + 1, ..., n, so no n! is formed."""
     pairs = list(combinations(lam, 2))
-    num = factorial(sum(lam)) * prod(a - b for a, b in pairs)
-    den = prod(factorial(a) for a in lam) * prod(a + b for a, b in pairs)
+    num = perm(sum(lam), sum(lam[1:])) * prod(a - b for a, b in pairs)
+    den = prod(factorial(a) for a in lam[1:]) * prod(a + b for a, b in pairs)
     g, rem = divmod(num, den)
     if rem or g < 1:
         raise RuntimeError(f"bar-length product {num}/{den} is not a positive integer on {lam}")

@@ -27,8 +27,8 @@ from typing import Callable, Iterator
 from .partitions import Partition, PartitionError, run_down
 
 
-def _suffix(head: Callable[[int], tuple[int, ...]], tail: Partition, length: int) -> Partition:
-    full = head(length) + tail
+def _suffix(head: Partition, tail: Partition, length: int) -> Partition:
+    full = head + tail
     return full[len(full) - length:]
 
 
@@ -36,14 +36,14 @@ def sigma(l: int) -> Partition:
     """(3l-2, ..., 7, 6, 4, 3, 1), read as a length-(l+2) suffix for small l."""
     if l < 1:
         raise PartitionError("l must be positive")
-    return _suffix(lambda n: run_down(3 * l - 2, 7), (6, 4, 3, 1), l + 2)
+    return _suffix(run_down(3 * l - 2, 7), (6, 4, 3, 1), l + 2)
 
 
 def tau(l: int) -> Partition:
     """(3l-1, ..., 8, 6, 5, 3, 2), read as a length-(l+2) suffix for small l."""
     if l < 1:
         raise PartitionError("l must be positive")
-    return _suffix(lambda n: run_down(3 * l - 1, 8), (6, 5, 3, 2), l + 2)
+    return _suffix(run_down(3 * l - 1, 8), (6, 5, 3, 2), l + 2)
 
 
 @dataclass(frozen=True)

@@ -214,11 +214,8 @@ class IdentityRow:
 def max_relevant_ladder(lam: Partition, p: int) -> int:
     """Upper bound on ladder indices carrying any statistic of lam."""
     top = ladder_index(len(lam) + 1, 1, p)
-    if lam:
-        top = max(top, ladder_index(1, lam[0] + p, p))
-        top = max(top, ladder_index(len(lam), lam[-1] + p, p))
-        for r, a in enumerate(lam, start=1):
-            top = max(top, ladder_index(r, a + p, p))
+    for r, a in enumerate(lam, start=1):
+        top = max(top, ladder_index(r, a + p, p))
     return top + p
 
 

@@ -17,15 +17,19 @@ odd prime p:
   a trailing zero), so e.g. (3,) is p-strict but not restricted at p=3.
 
 ``SHAPES`` names the three classes, and ``require_shape`` is the one
-check every entry point makes of its input's class.
+check every entry point makes of its input's class.  ``move_nodes``
+is the one way a shape gains or loses nodes (r, c), row and column
+1-based, and checks each against the end of its row.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
+Node = tuple[int, int]
 
 EMPTY: Partition = ()
 
@@ -191,41 +195,53 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return len(mu) <= len(lam) and all(mu[k] <= lam[k] for k in range(len(mu)))
 
 
+def move_nodes(lam: Partition, nodes: Iterable[Node], step: int) -> Partition:
+    """Add (step +1) or remove (step -1) the nodes of lam one at a time, in
+    column order with removals last column first; emptied rows are dropped
+    and the caller checks the result's shape.  RuntimeError unless each
+    cell, at its turn, is the next cell of its row (the row below the last
+    starts empty) or its row's current end."""
+    if step not in (1, -1):
+        raise PartitionError(f"step must be +1 or -1, got {step}")
+    rows = list(lam)
+    for r, c in sorted(nodes, key=itemgetter(1, 0), reverse=step < 0):
+        if step > 0 and r == len(rows) + 1:
+            rows.append(0)
+        if not (1 <= r <= len(rows) and c >= 1 and rows[r - 1] == (c - 1 if step > 0 else c)):
+            end = "next cell" if step > 0 else "end"
+            raise RuntimeError(f"node {(r, c)} is not the {end} of its row in {tuple(rows)}")
+        rows[r - 1] += step
+    return tuple(a for a in rows if a)
+
+
 # ---------------------------------------------------------------------------
 # enumeration helpers (workhorses of the exhaustive verification suites)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, lexicographically decreasing."""
+def _descending(n: int, top: int, m: int) -> Iterator[Partition]:
+    """Partitions of n into parts at most top, lexicographically decreasing,
+    repeating only parts m divides (m = 1: all, p: p-strict, > n: strict)."""
     if n == 0:
         yield EMPTY
         return
-    top = n if max_part is None else min(max_part, n)
-    for head in range(top, 0, -1):
-        for tail in partitions_of(n - head, head):
+    for head in range(min(top, n), 0, -1):
+        nxt = head if head % m == 0 else head - 1
+        for tail in (_descending(n - head, nxt, m) if head < n else (EMPTY,)):  # no generator per leaf
             yield (head,) + tail
+
+
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, largest part first, lexicographically decreasing."""
+    yield from _descending(n, n if max_part is None else max_part, 1)
 
 
 def strict_partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    if n == 0:
-        yield EMPTY
-        return
-    top = n if max_part is None else min(max_part, n)
-    for head in range(top, 0, -1):
-        for tail in strict_partitions_of(n - head, head - 1):
-            yield (head,) + tail
+    yield from _descending(n, n if max_part is None else max_part, n + 1)
 
 
 def p_strict_partitions_of(n: int, p: int, max_part: int | None = None) -> Iterator[Partition]:
     """All p-strict partitions of n (repeats only among parts divisible by p)."""
-    if n == 0:
-        yield EMPTY
-        return
-    top = n if max_part is None else min(max_part, n)
-    for head in range(top, 0, -1):
-        nxt = head if head % p == 0 else head - 1
-        for tail in p_strict_partitions_of(n - head, p, nxt):
-            yield (head,) + tail
+    yield from _descending(n, n if max_part is None else max_part, p)
 
 
 def restricted_partitions_of(n: int, p: int) -> Iterator[Partition]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .ladders import residue
-from .partitions import STRICT, Partition, PartitionError, contains, is_strict, require_shape
+from .partitions import STRICT, Partition, PartitionError, contains, is_strict, move_nodes, require_shape
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ def _strict_corners(lam: Sequence[int]) -> list[int]:
     return out
 
 
-def _drop(lam: Partition, r: int) -> Partition:
-    rows = list(lam)
-    rows[r - 1] -= 1
-    return tuple(a for a in rows if a > 0)
-
-
 def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
     """Every standard shifted tableau of shape lam, exactly once."""
     require_shape(lam, STRICT)
@@ -109,7 +103,7 @@ def count_sst(lam: Partition) -> int:
     require_shape(lam, STRICT)
     if sum(lam) == 0:
         return 1
-    return sum(count_sst(_drop(lam, r)) for r in _strict_corners(lam))
+    return sum(count_sst(move_nodes(lam, ((r, lam[r - 1]),), -1)) for r in _strict_corners(lam))
 
 
 def find_patterned_tableau(

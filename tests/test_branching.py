@@ -14,6 +14,7 @@ from spinhom.branching import (
     ladder_obstruction,
     normal_extremal,
     phi_hat,
+    phi_i,
     signature,
     tilde_e,
     tilde_f,
@@ -26,6 +27,7 @@ from spinhom.partitions import (
     is_restricted,
     is_strict,
     p_strict_partitions_of,
+    restricted_partitions_of,
     strict_partitions_of,
 )
 
@@ -293,6 +295,36 @@ def test_normal_extremal():
     # no normal 1-node on (4, 1): zero iterations allowed
     assert eps_i((4, 1), 1, 3) == 0
     assert normal_extremal((4, 1), 1, 3, "down") == (4, 1)
+
+
+def _iterated_normal_extremal(mu, i, p, direction):
+    """Reference: tilde_e / tilde_f applied one node at a time, a fresh
+    signature at every step."""
+    out = mu
+    if direction == "down":
+        for _ in range(eps_i(mu, i, p)):
+            out = tilde_e(out, i, p)
+    else:
+        for _ in range(phi_i(mu, i, p)):
+            out = tilde_f(out, i, p)
+    return out
+
+
+@pytest.mark.parametrize("p,max_n", [(3, 36), (5, 28), (7, 22)])
+def test_normal_extremal_matches_iterated_tilde(p, max_n):
+    for n in range(max_n + 1):
+        for mu in restricted_partitions_of(n, p):
+            for i in range((p - 1) // 2 + 1):
+                for direction in ("down", "up"):
+                    want = _iterated_normal_extremal(mu, i, p, direction)
+                    assert normal_extremal(mu, i, p, direction) == want, (mu, i, direction)
+
+
+def test_normal_extremal_reads_one_signature():
+    assert eps_i((4, 1), 0, 3) == 3
+    signature.cache_clear()
+    assert normal_extremal((4, 1), 0, 3, "down") == (2,)
+    assert signature.cache_info().misses == 1
 
 
 def test_branch_multiset():

@@ -11,8 +11,10 @@ from spinhom.partitions import (
     has_shape,
     is_p_strict,
     is_odd_partition,
+    is_strict,
     join,
     l_p,
+    move_nodes,
     parse_partition,
     partitions_of,
     p_strict_partitions_of,
@@ -122,6 +124,46 @@ def test_enumeration_counts():
         for lam in p_strict_partitions_of(n, 3):
             assert is_p_strict(lam, 3)
         assert set(restricted_partitions_of(n, 3)) <= set(p_strict_partitions_of(n, 3))
+
+
+
+def test_enumerators_share_one_order():
+    # the strict and p-strict streams are the full stream, filtered, in the same order
+    for n in range(16):
+        for top in (None, 0, 4, n + 3):
+            every = list(partitions_of(n, top))
+            assert every == sorted(set(every), reverse=True)
+            assert list(strict_partitions_of(n, top)) == [lam for lam in every if is_strict(lam)]
+            for p in (3, 5):
+                assert list(p_strict_partitions_of(n, p, top)) == [lam for lam in every if is_p_strict(lam, p)]
+
+
+def test_move_nodes():
+    assert move_nodes((4, 1), [(1, 3), (1, 4)], -1) == (2, 1)  # last column first
+    assert move_nodes((4, 1), [(2, 1)], -1) == (4,)
+    assert move_nodes((4, 1), [(1, 6), (3, 1), (2, 2), (1, 5)], 1) == (6, 2, 1)
+    assert move_nodes((), [(1, 1), (2, 1)], 1) == (1, 1)  # one new row after another
+    assert move_nodes((4, 1), [], -1) == (4, 1)
+
+
+@pytest.mark.parametrize(
+    "lam, nodes, step",
+    [
+        ((4, 1), [(1, 3)], -1),  # not the end of row 1
+        ((4, 1), [(1, 4), (1, 4)], -1),  # the same cell twice
+        ((4, 1), [(3, 1)], -1),  # no row 3
+        ((4, 1), [(1, 6)], 1),  # not the next cell of row 1
+        ((4, 1), [(4, 1)], 1),  # two rows below the last
+    ],
+)
+def test_move_nodes_refuses_a_cell_off_its_row_end(lam, nodes, step):
+    with pytest.raises(RuntimeError, match="of its row"):
+        move_nodes(lam, nodes, step)
+
+
+def test_move_nodes_rejects_a_bad_step():
+    with pytest.raises(PartitionError, match="step must be"):
+        move_nodes((4, 1), [(1, 4)], 0)
 
 
 # every public entry point that checks its input's shape class, with the
