@@ -88,158 +88,143 @@ def _deglem12_ratio(l: int) -> Fraction:
     return Fraction(num, den)
 
 
-FAMILIES: dict[str, DegreeFamily] = {}
-
-
-def _register(fam: DegreeFamily) -> None:
-    FAMILIES[fam.name] = fam
-
-
-_register(DegreeFamily(
-    "deglem1",
-    lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1),
-    _deglem1_mu,
-    "consecutive",
-    lambda l: Fraction((l + 1) * (3 * l + 1) * (3 * l + 8), l * (3 * l + 5) * (3 * l + 7)),
-    (3, 12),
-    (4, 12),
-    equal_at=(3,),
-))
-
-_register(DegreeFamily(
-    "deglem2",
-    lambda l: run_down(3 * l, 3),
-    lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
-    "consecutive",
-    lambda l: Fraction(l * l * (6 * l - 5) * (6 * l - 1), (2 * l - 1) ** 2 * (3 * l - 2) * (3 * l + 2)),
-    (3, 12),
-    (3, 12),
-))
-
-_register(DegreeFamily(
-    "deglem4",
-    lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
-    lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
-    "consecutive",
-    lambda l: Fraction(
-        (l - 2) ** 2 * (2 * l - 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 11) * (6 * l - 7),
-        (2 * l - 5) ** 2 * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 4) * (6 * l - 5) * (6 * l - 1),
+FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
+    DegreeFamily(
+        "deglem1",
+        lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1),
+        _deglem1_mu,
+        "consecutive",
+        lambda l: Fraction((l + 1) * (3 * l + 1) * (3 * l + 8), l * (3 * l + 5) * (3 * l + 7)),
+        (3, 12),
+        (4, 12),
+        equal_at=(3,),
     ),
-    (7, 12),
-    (7, 12),
-))
-
-_register(DegreeFamily(
-    "deglem5",
-    lambda l: (3 * l, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
-    lambda l: (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
-    "consecutive",
-    lambda l: Fraction(
-        (l - 3) * l ** 3 * (2 * l - 5) ** 2 * (2 * l - 1) * (3 * l - 7) * (3 * l - 5)
-        * (3 * l - 4) ** 2 * (3 * l + 5) * (6 * l - 11) ** 2 * (6 * l - 7) * (6 * l + 1),
-        (l - 2) ** 4 * (l + 2) * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 1)
-        * (3 * l + 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) ** 2 * (6 * l - 1),
+    DegreeFamily(
+        "deglem2",
+        lambda l: run_down(3 * l, 3),
+        lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
+        "consecutive",
+        lambda l: Fraction(l * l * (6 * l - 5) * (6 * l - 1), (2 * l - 1) ** 2 * (3 * l - 2) * (3 * l + 2)),
+        (3, 12),
+        (3, 12),
     ),
-    (4, 12),
-    (4, 12),
-))
-
-_register(DegreeFamily(
-    "deglem6",
-    lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
-    lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
-    "consecutive",
-    lambda l: Fraction(
-        (l - 3) * (l - 1) ** 2 * l * (l + 2) * (2 * l - 5) ** 2 * (3 * l - 7) * (3 * l - 5)
-        * (3 * l - 1) ** 2 * (3 * l + 1) * (3 * l + 4) * (6 * l - 11) ** 2 * (6 * l - 7),
-        (l - 2) ** 4 * (l + 1) ** 2 * (2 * l - 3) * (3 * l - 8) * (3 * l - 2) ** 3
-        * (3 * l + 7) * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) * (6 * l - 1),
+    DegreeFamily(
+        "deglem4",
+        lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
+        lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
+        "consecutive",
+        lambda l: Fraction(
+            (l - 2) ** 2 * (2 * l - 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 11) * (6 * l - 7),
+            (2 * l - 5) ** 2 * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 4) * (6 * l - 5) * (6 * l - 1),
+        ),
+        (7, 12),
+        (7, 12),
     ),
-    (7, 12),
-    (7, 12),
-    extra_greater=(4,),
-))
-
-_register(DegreeFamily(
-    "deglem7",
-    lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
-    lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 6, 3 * l - 8) + run_down(3 * l - 12, 6) + (2,),
-    "consecutive",
-    lambda l: Fraction(
-        (l - 4) * (l - 1) ** 3 * (l + 1) * (2 * l - 5) ** 2 * (3 * l - 10) * (3 * l - 8)
-        * (3 * l - 4) * (3 * l - 1) * (3 * l + 2) * (6 * l - 1),
-        (l - 3) * (l - 2) ** 2 * l ** 3 * (2 * l - 1) * (3 * l - 11) ** 2 * (3 * l - 5)
-        * (3 * l + 5) * (6 * l - 13) * (6 * l - 7),
+    DegreeFamily(
+        "deglem5",
+        lambda l: (3 * l, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
+        lambda l: (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
+        "consecutive",
+        lambda l: Fraction(
+            (l - 3) * l ** 3 * (2 * l - 5) ** 2 * (2 * l - 1) * (3 * l - 7) * (3 * l - 5)
+            * (3 * l - 4) ** 2 * (3 * l + 5) * (6 * l - 11) ** 2 * (6 * l - 7) * (6 * l + 1),
+            (l - 2) ** 4 * (l + 2) * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 1)
+            * (3 * l + 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) ** 2 * (6 * l - 1),
+        ),
+        (4, 12),
+        (4, 12),
     ),
-    (6, 12),
-    (6, 12),
-))
-
-_register(DegreeFamily(
-    "deglem8",
-    lambda l: (3 * l, 3 * l - 4, 3 * l - 5) + run_down(3 * l - 9, 3) if l >= 3 else (6, 2, 1),
-    lambda l: ((3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3)) if l <= 7
-    else (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
-    "consecutive",
-    lambda l: Fraction(
-        (l - 3) * l ** 3 * (2 * l - 3) ** 2 * (2 * l + 1) * (3 * l - 7) * (3 * l - 5)
-        * (3 * l - 2) ** 2 * (3 * l - 1) * (3 * l + 5),
-        (l - 2) * (l - 1) ** 3 * (l + 2) * (2 * l - 1) ** 2 * (3 * l - 8) ** 2
-        * (3 * l + 1) ** 3 * (6 * l - 7),
+    DegreeFamily(
+        "deglem6",
+        lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
+        lambda l: (3 * l + 1, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
+        "consecutive",
+        lambda l: Fraction(
+            (l - 3) * (l - 1) ** 2 * l * (l + 2) * (2 * l - 5) ** 2 * (3 * l - 7) * (3 * l - 5)
+            * (3 * l - 1) ** 2 * (3 * l + 1) * (3 * l + 4) * (6 * l - 11) ** 2 * (6 * l - 7),
+            (l - 2) ** 4 * (l + 1) ** 2 * (2 * l - 3) * (3 * l - 8) * (3 * l - 2) ** 3
+            * (3 * l + 7) * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) * (6 * l - 1),
+        ),
+        (7, 12),
+        (7, 12),
+        extra_greater=(4,),
     ),
-    (8, 12),
-    (2, 12),
-))
-
-_register(DegreeFamily(
-    "deglem9",
-    lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 7) + (3 * l + 3,) + run_down(3 * l + 1, 4),
-    lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 4) + (3 * l,) + run_down(3 * l - 2, 4),
-    "direct",
-    lambda l: Fraction(
-        (l + 1) * (3 * l - 1) * (6 * l + 7) * (9 * l + 8) * (9 * l + 10),
-        3 * l * (l + 2) * (6 * l + 1) * (9 * l + 7) ** 2,
+    DegreeFamily(
+        "deglem7",
+        lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 7, 3 * l - 8) + run_down(3 * l - 12, 3),
+        lambda l: (3 * l - 1, 3 * l - 2, 3 * l - 6, 3 * l - 8) + run_down(3 * l - 12, 6) + (2,),
+        "consecutive",
+        lambda l: Fraction(
+            (l - 4) * (l - 1) ** 3 * (l + 1) * (2 * l - 5) ** 2 * (3 * l - 10) * (3 * l - 8)
+            * (3 * l - 4) * (3 * l - 1) * (3 * l + 2) * (6 * l - 1),
+            (l - 3) * (l - 2) ** 2 * l ** 3 * (2 * l - 1) * (3 * l - 11) ** 2 * (3 * l - 5)
+            * (3 * l + 5) * (6 * l - 13) * (6 * l - 7),
+        ),
+        (6, 12),
+        (6, 12),
     ),
-    (1, 12),
-    (1, 12),
-))
-
-_register(DegreeFamily(
-    "deglem10",
-    lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 2, 3 * l) + run_down(3 * l - 4, 2),
-    lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 3, 3 * l - 1) + run_down(3 * l - 4, 2),
-    "direct",
-    lambda l: Fraction(
-        (l + 1) * (3 * l - 4) * (6 * l - 1) * (9 * l - 1),
-        (l - 1) * (3 * l - 1) * (6 * l + 5) * (9 * l - 2),
+    DegreeFamily(
+        "deglem8",
+        lambda l: (3 * l, 3 * l - 4, 3 * l - 5) + run_down(3 * l - 9, 3) if l >= 3 else (6, 2, 1),
+        lambda l: ((3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3)) if l <= 7
+        else (3 * l, 3 * l - 3, 3 * l - 5) + run_down(3 * l - 9, 6) + (2,),
+        "consecutive",
+        lambda l: Fraction(
+            (l - 3) * l ** 3 * (2 * l - 3) ** 2 * (2 * l + 1) * (3 * l - 7) * (3 * l - 5)
+            * (3 * l - 2) ** 2 * (3 * l - 1) * (3 * l + 5),
+            (l - 2) * (l - 1) ** 3 * (l + 2) * (2 * l - 1) ** 2 * (3 * l - 8) ** 2
+            * (3 * l + 1) ** 3 * (6 * l - 7),
+        ),
+        (8, 12),
+        (2, 12),
     ),
-    (6, 12),
-    (6, 12),
-))
-
-_register(DegreeFamily(
-    "deglem11",
-    lambda l: (3 * l,) + run_down(3 * l - 2, 4) + (3, 1),
-    lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1) if l >= 4 else (13, 7, 4),
-    "consecutive",
-    lambda l: Fraction(
-        l * (3 * l + 7) * (3 * l + 10) * (6 * l + 5),
-        (l + 2) * (3 * l + 2) * (3 * l + 11) * (6 * l + 1),
+    DegreeFamily(
+        "deglem9",
+        lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 7) + (3 * l + 3,) + run_down(3 * l + 1, 4),
+        lambda l: (6 * l + 6,) + run_down(6 * l + 4, 3 * l + 4) + (3 * l,) + run_down(3 * l - 2, 4),
+        "direct",
+        lambda l: Fraction(
+            (l + 1) * (3 * l - 1) * (6 * l + 7) * (9 * l + 8) * (9 * l + 10),
+            3 * l * (l + 2) * (6 * l + 1) * (9 * l + 7) ** 2,
+        ),
+        (1, 12),
+        (1, 12),
     ),
-    (4, 12),
-    (3, 12),
-))
-
-_register(DegreeFamily(
-    "deglem12",
-    lambda l: (3 * l,) + run_down(3 * l - 2, 1),
-    lambda l: run_down(3 * l + 1, 4),
-    "direct",
-    _deglem12_ratio,
-    (1, 12),
-    (2, 12),
-    equal_at=(1,),
-))
+    DegreeFamily(
+        "deglem10",
+        lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 2, 3 * l) + run_down(3 * l - 4, 2),
+        lambda l: run_down(6 * l - 4, 3 * l + 5) + (3 * l + 3, 3 * l - 1) + run_down(3 * l - 4, 2),
+        "direct",
+        lambda l: Fraction(
+            (l + 1) * (3 * l - 4) * (6 * l - 1) * (9 * l - 1),
+            (l - 1) * (3 * l - 1) * (6 * l + 5) * (9 * l - 2),
+        ),
+        (6, 12),
+        (6, 12),
+    ),
+    DegreeFamily(
+        "deglem11",
+        lambda l: (3 * l,) + run_down(3 * l - 2, 4) + (3, 1),
+        lambda l: run_down(3 * l + 1, 10) + (6, 4, 3, 1) if l >= 4 else (13, 7, 4),
+        "consecutive",
+        lambda l: Fraction(
+            l * (3 * l + 7) * (3 * l + 10) * (6 * l + 5),
+            (l + 2) * (3 * l + 2) * (3 * l + 11) * (6 * l + 1),
+        ),
+        (4, 12),
+        (3, 12),
+    ),
+    DegreeFamily(
+        "deglem12",
+        lambda l: (3 * l,) + run_down(3 * l - 2, 1),
+        lambda l: run_down(3 * l + 1, 4),
+        "direct",
+        _deglem12_ratio,
+        (1, 12),
+        (2, 12),
+        equal_at=(1,),
+    ),
+)}
 
 
 def family(name: str) -> DegreeFamily:

@@ -24,6 +24,7 @@ is the one way a shape gains or loses nodes (r, c), row and column
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -183,6 +184,7 @@ def join(lam: Partition, mu: Partition) -> Partition:
     return tuple(sorted(lam + mu, reverse=True))
 
 
+@lru_cache(maxsize=None)
 def conjugate(alpha: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths of alpha."""
     if not alpha:
@@ -230,18 +232,20 @@ def _descending(n: int, top: int, m: int) -> Iterator[Partition]:
             yield (head,) + tail
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, lexicographically decreasing."""
-    yield from _descending(n, n if max_part is None else max_part, 1)
+@lru_cache(maxsize=None)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, largest part first, lexicographically decreasing;
+    a memoised tuple, since only small n (wreath labels, closed forms) ask."""
+    return tuple(_descending(n, n, 1))
 
 
-def strict_partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    yield from _descending(n, n if max_part is None else max_part, n + 1)
+def strict_partitions_of(n: int) -> Iterator[Partition]:
+    yield from _descending(n, n, n + 1)
 
 
-def p_strict_partitions_of(n: int, p: int, max_part: int | None = None) -> Iterator[Partition]:
+def p_strict_partitions_of(n: int, p: int) -> Iterator[Partition]:
     """All p-strict partitions of n (repeats only among parts divisible by p)."""
-    yield from _descending(n, n if max_part is None else max_part, p)
+    yield from _descending(n, n, p)
 
 
 def restricted_partitions_of(n: int, p: int) -> Iterator[Partition]:

@@ -11,12 +11,13 @@ diagonal Cartan invariant of the rank-d wreath model is
 whose diagonal equals 2d+1 exactly for the row and the column shape and
 exceeds it otherwise.  Each label's row of non-zero ``lr3`` values is
 summed once per process from the non-zero ``lr2`` terms alone and
-memoised, and c(nu, pi) is a sparse dot product of two rows.  ``lr2``,
-the partition lists and their conjugates are memoised too; ``lr3``
-itself, a dense sum over every intermediate shape, answers single
-queries and is not memoised.  The characteristic-3 analogue conjugates
-by an ingested decomposition matrix: matrices are read from a small
-text format, never computed.
+memoised, and c(nu, pi) is a sparse dot product of two rows.  ``lr2``
+is memoised too, and the partition lists and conjugates come from the
+memoised ``partitions.partitions_of`` and ``partitions.conjugate``;
+``lr3`` itself, a dense sum over every intermediate shape, answers
+single queries and is not memoised.  The characteristic-3 analogue
+conjugates by an ingested decomposition matrix: matrices are read from
+a small text format, never computed.
 """
 
 from __future__ import annotations
@@ -75,20 +76,12 @@ def lr2(alpha: Partition, beta: Partition, nu: Partition) -> int:
     return rec(0, (0,) * k, {})
 
 
-_conjugate = lru_cache(maxsize=None)(conjugate)
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(partitions_of(n))
-
-
 def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> int:
     """Three-factor coefficient via associativity of the two-factor one."""
     if sum(alpha) + sum(beta) + sum(gamma) != sum(nu):
         return 0
     total = 0
-    for sigma in _partitions(sum(alpha) + sum(beta)):
+    for sigma in partitions_of(sum(alpha) + sum(beta)):
         left = lr2(alpha, beta, sigma)
         if left:
             total += left * lr2(sigma, gamma, nu)
@@ -106,13 +99,13 @@ def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]
     d = sum(nu)
     row: dict[tuple[Partition, Partition, Partition], int] = {}
     for s in range(d + 1):
-        for sigma in _partitions(s):
+        for sigma in partitions_of(s):
             if not contains(nu, sigma):
                 continue
-            outer = [(gamma, c) for gamma in _partitions(d - s) if (c := lr2(sigma, gamma, nu))]
+            outer = [(gamma, c) for gamma in partitions_of(d - s) if (c := lr2(sigma, gamma, nu))]
             for a in range(s + 1):
-                for alpha in _partitions(a):
-                    for beta in _partitions(s - a):
+                for alpha in partitions_of(a):
+                    for beta in partitions_of(s - a):
                         inner = lr2(alpha, beta, sigma)
                         if inner:
                             for gamma, c in outer:
@@ -132,7 +125,7 @@ def wreath_cartan0(nu: Partition, pi: Partition) -> int:
     other = _lr3_row(pi)
     total = 0
     for (alpha, beta, gamma), v in _lr3_row(nu).items():
-        total += v * other.get((alpha, _conjugate(beta), gamma), 0)
+        total += v * other.get((alpha, conjugate(beta), gamma), 0)
     return total
 
 
@@ -237,7 +230,7 @@ def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> int:
     """
     if mu not in matrix.columns:
         raise PartitionError(f"{format_partition(mu)} is not a column of the matrix")
-    rows = [nu for nu in _partitions(matrix.d) if matrix.mult(nu, mu)]
+    rows = [nu for nu in partitions_of(matrix.d) if matrix.mult(nu, mu)]
     total = 0
     for nu in rows:
         for pi in rows:

@@ -276,11 +276,11 @@ for call in (barcores.bar_core, lambda lam, p: classify.classify_homogeneous(lam
         print(type(exc).__name__, exc)
 barcores.is_p_strict = real_is_p_strict
 barcores.bar_core = lambda lam, p: barcores.BarCoreResult(real_removals(lam, p)[0].result, 1)
-print(verify._blocks_confluence_rows((9,), 3))
+print(list(verify._blocks_confluence_rows((9,), 3)))
 barcores.bar_core = real_core
 extra = [barcores.BarRemoval("decrease", (2,))]
 barcores.bar_removals = lambda lam, p: real_removals(lam, p) + (extra if lam == (7,) else [])
-print(verify._blocks_confluence_rows((10,), 3))
+print(list(verify._blocks_confluence_rows((10,), 3)))
 """
 
 

@@ -130,12 +130,11 @@ def test_enumeration_counts():
 def test_enumerators_share_one_order():
     # the strict and p-strict streams are the full stream, filtered, in the same order
     for n in range(16):
-        for top in (None, 0, 4, n + 3):
-            every = list(partitions_of(n, top))
-            assert every == sorted(set(every), reverse=True)
-            assert list(strict_partitions_of(n, top)) == [lam for lam in every if is_strict(lam)]
-            for p in (3, 5):
-                assert list(p_strict_partitions_of(n, p, top)) == [lam for lam in every if is_p_strict(lam, p)]
+        every = list(partitions_of(n))
+        assert every == sorted(set(every), reverse=True)
+        assert list(strict_partitions_of(n)) == [lam for lam in every if is_strict(lam)]
+        for p in (3, 5):
+            assert list(p_strict_partitions_of(n, p)) == [lam for lam in every if is_p_strict(lam, p)]
 
 
 def test_move_nodes():

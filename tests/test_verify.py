@@ -107,9 +107,23 @@ def test_degrees_suite_checks_every_equal_at_index(contract_rows):
     assert {(row[0], row[2]) for row in small if row[1] == "ratio_equal_at"} == {("deglem12", "l=1")}
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_task_is_a_sweep_chunk(p):
+    # every suite makes its tasks through _sweep, so each runs one check over a chunk of items
+    for name in verify.suites_at(p):
+        extra = {"max_l": 5} if name == "degrees" else {"seed": 0} if name == "wreath" else {}
+        tasks = verify.SUITES[name][0](p, 12, **extra)
+        assert tasks and all(fn is verify._each for fn, _ in tasks), name
+
+
 def test_degrees_suite_sends_one_job_per_fibre():
     # a worker ranks each fibre it sees, so no fibre may be split across tasks
-    jobs = [args for fn, args in verify.suite_degrees(3, 4, max_l=5) if fn is verify._staircase_witness_rows]
+    jobs = [
+        fibre
+        for _, (check, fibres, _) in verify.suite_degrees(3, 4, max_l=5)
+        if check is verify._staircase_witness_rows
+        for fibre in fibres
+    ]
     fibres = [{regularize(staircase_adjusted(l, tup), 3) for tup in tups} for l, tups in jobs]
     assert len(jobs) == 6 and all(len(fibre) == 1 for fibre in fibres)
     assert len(set().union(*fibres)) == 6

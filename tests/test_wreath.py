@@ -7,10 +7,10 @@ from itertools import product
 
 import pytest
 
+from spinhom import verify
 from spinhom.partitions import PartitionError, conjugate, partitions_of
 from spinhom.wreath import (
     _lr3_row,
-    _partitions,
     bundled_decomp_matrix,
     is_p_regular,
     lr2,
@@ -130,7 +130,7 @@ def test_lr_frozen_values():
 def _clear_wreath_memos():
     lr2.cache_clear()
     _lr3_row.cache_clear()
-    _partitions.cache_clear()
+    partitions_of.cache_clear()
 
 
 def test_sparse_lr3_rows_match_the_dense_lr3():
@@ -154,6 +154,14 @@ def test_memoisation_contract():
     cold = wreath_cartan0((2, 1), (2, 1))
     warm = wreath_cartan0((2, 1), (2, 1))
     assert cold == warm == 19
+
+
+def test_wreath_suite_lists_each_partition_size_once():
+    # the wreath suite and the wreath module share one partitions_of memo,
+    # so a cold run lists the partitions of each d = 0..8 once
+    _clear_wreath_memos()
+    assert not verify.failures(verify.run_suite("wreath", max_n=8))
+    assert partitions_of.cache_info().misses <= 9
 
 
 def _cartan0_by_triple_sum(nu, pi):
