@@ -120,6 +120,9 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
     return reach
 
 
+_COLUMN = itemgetter(1)  # a node's column: the sort key and the guard's key
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     """Addable and removable i-nodes of lam in the given sense.
@@ -140,16 +143,18 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
     addables = [
         (r, a + j)
         for r, (a, top) in enumerate(zip(lam + (0,), _reach(lam, i, p, mode, +1)), start=1)
+        if top
         for j in range(1, top + 1)
     ]
     removables = [
         (r, a - j + 1)
         for r, (a, depth) in enumerate(zip(lam, _reach(lam, i, p, mode, -1)), start=1)
+        if depth
         for j in range(1, 1 - depth)
     ]
-    addables.sort(key=itemgetter(1))
-    removables.sort(key=itemgetter(1))
-    if len({c for _, c in addables + removables}) != len(addables) + len(removables):
+    addables.sort(key=_COLUMN)
+    removables.sort(key=_COLUMN)
+    if len({*map(_COLUMN, addables), *map(_COLUMN, removables)}) != len(addables) + len(removables):
         raise RuntimeError(f"boundary {i}-nodes of {lam} share a column (p={p}, mode={mode})")
     return tuple(addables), tuple(removables)
 

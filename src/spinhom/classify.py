@@ -177,12 +177,19 @@ def homogeneity_obstruction(lam: Partition) -> Certificate | None:
     regularised node counts; a mismatch between restricting then
     regularising and regularising then removing normal nodes; and a
     same-fibre partner of smaller reduced degree.
+
+    The regularisation ``reg`` is computed on first use, by the first
+    eps check reached: after the i = 0 ladder obstruction, when it does
+    not fire.  Most partitions stop at that first test and never
+    regularise.
     """
     require_shape(lam, STRICT)
-    reg = regularize(lam, 3)
+    reg = None
     for i in (0, 1):
         if ladder_obstruction(lam, i, 3):
             return Certificate("Obstruction_certificate")
+        if reg is None:
+            reg = regularize(lam, 3)
         down = extremal(lam, i, 3, "down")
         if down.count != eps_i(reg, i, 3):
             return Certificate("Eps_mismatch")

@@ -12,16 +12,16 @@ ladder; the result is restricted p-strict with the same ladder profile.
 
 The per-ladder counts (lad, add, badd, rem, brem, str, zz) satisfy a
 family of exact identities that ``check_ladder_identities`` evaluates
-ladder by ladder; it builds each count as a ladder -> count ``Counter``
-in one pass per partition, and the verification suites run the
-identities exhaustively over small partitions.
+ladder by ladder; it builds each count as a flat per-ladder list in one
+pass per partition, and the verification suites run the identities
+exhaustively over small partitions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
@@ -188,22 +188,32 @@ def _row_end_counts(lam: Partition, p: int) -> tuple[Counter, Counter]:
     return strs, zzs
 
 
-def _boundary_by_ladder(lam: Partition, p: int, mode: str) -> tuple[Counter, Counter]:
+def _padded(counts: dict[int, int], size: int, p: int) -> list[int]:
+    """A ladder -> count map as a list of the given size, ladder l at index
+    l + p; the p leading zeros make every ladder below 0 read 0."""
+    out = [0] * size
+    for l, k in counts.items():
+        out[l + p] = k
+    return out
+
+
+def _boundary_by_ladder(lam: Partition, p: int, mode: str, size: int) -> tuple[list[int], list[int]]:
+    """The add and rem counts of lam per ladder, over every residue, as
+    lists laid out like ``_padded``."""
     from .branching import boundary_nodes  # local import: branching builds on this module
 
-    adds: Counter[int] = Counter()
-    rems: Counter[int] = Counter()
+    adds = [0] * size
+    rems = [0] * size
     for i in range(0, (p - 1) // 2 + 1):
         a, r = boundary_nodes(lam, i, p, mode)
         for rr, cc in a:
-            adds[ladder_index(rr, cc, p)] += 1
+            adds[ladder_index(rr, cc, p) + p] += 1
         for rr, cc in r:
-            rems[ladder_index(rr, cc, p)] += 1
+            rems[ladder_index(rr, cc, p) + p] += 1
     return adds, rems
 
 
-@dataclass(frozen=True)
-class IdentityRow:
+class IdentityRow(NamedTuple):
     identity: str
     l: int
     lhs: int
@@ -230,48 +240,54 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     * other non-zero residues ("zzlem", p >= 5 only), plus the
       regularisation inequality on zz ("zzreglem").
 
-    Every count is a per-ladder ``Counter`` built in one pass over lam
-    (and over its regularisation for zzreglem, at p >= 5 only), so an
-    identity reads ``counter[l]``; a ``Counter`` reads 0 at a negative
-    ladder, which holds no nodes.  The l == 0 case of the residue-0
-    identity carries a -1 correction.
+    Every count is a flat per-ladder list built in one pass over lam (and
+    over its regularisation for zzreglem, at p >= 5 only), holding ladder
+    l at index j = l + p; an identity at ladder l reads each count at j
+    and at offsets below it.  The p leading zeros of each list stand for
+    the negative ladders, which hold no nodes, and reach every offset an
+    identity reads (at most p - 1 below l).  The lists reach ladder
+    ``max_relevant_ladder``, past every node and boundary node of lam.
+    The l == 0 case of the residue-0 identity carries a -1 correction.
     """
     require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
-    badds, brems = _boundary_by_ladder(lam, p, PSTRICT)
-    sadds, srems = _boundary_by_ladder(lam, p, STRICT) if strict else (Counter(), Counter())
-    lad = Counter(ladder_profile(lam, p))
-    strs, zzs = _row_end_counts(lam, p)
+    top = max_relevant_ladder(lam, p)
+    size = top + p + 1
+    badds, brems = _boundary_by_ladder(lam, p, PSTRICT, size)
+    sadds, srems = _boundary_by_ladder(lam, p, STRICT, size) if strict else ([], [])
+    lad = _padded(ladder_profile(lam, p), size, p)
+    strs, zzs = (_padded(counts, size, p) for counts in _row_end_counts(lam, p))
     half = (p - 1) // 2
     # only zzreglem reads the regularisation's zz counts, and it needs p >= 5
-    reg_zzs = _row_end_counts(regularize(lam, p), p)[1] if half >= 2 else Counter()
+    reg_zzs = _padded(_row_end_counts(regularize(lam, p), p)[1], size, p) if half >= 2 else []
 
     rows: list[IdentityRow] = []
-    for l in range(0, max_relevant_ladder(lam, p) + 1):
+    for l in range(0, top + 1):
+        j = l + p
         m = l % (p - 1)
         if m == half:
-            lhs = brems[l - p + 1] - badds[l]
+            lhs = brems[j - p + 1] - badds[j]
             if p == 3:
-                rhs = lad[l] - lad[l - 1] + lad[l - 2]
+                rhs = lad[j] - lad[j - 1] + lad[j - 2]
             else:
-                rhs = lad[l] - lad[l - 1] - lad[l - p + 2] + lad[l - p + 1]
+                rhs = lad[j] - lad[j - 1] - lad[j - p + 2] + lad[j - p + 1]
             rows.append(IdentityRow("arladd1", l, lhs, rhs, lhs == rhs))
         if m == 0:
-            base = lad[l] - 2 * lad[l - 1] - 2 * lad[l - p + 2] + lad[l - p + 1] - (1 if l == 0 else 0)
-            lhs = brems[l - p + 1] - badds[l]
+            base = lad[j] - 2 * lad[j - 1] - 2 * lad[j - p + 2] + lad[j - p + 1] - (1 if l == 0 else 0)
+            lhs = brems[j - p + 1] - badds[j]
             rows.append(IdentityRow("lads", l, lhs, base, lhs == base))
             if strict:
-                lhs_s = srems[l - p + 1] - sadds[l]
-                rhs_s = base - strs[l] + strs[l - p + 1]
+                lhs_s = srems[j - p + 1] - sadds[j]
+                rhs_s = base - strs[j] + strs[j - p + 1]
                 rows.append(IdentityRow("lads_strict", l, lhs_s, rhs_s, lhs_s == rhs_s))
         if half >= 2 and m != 0 and m != half:
-            # k is the largest index below l with k + l divisible by p-1
-            k = l - ((2 * l - 1) % (p - 1) + 1)
-            lhs = brems[k] - badds[l]
+            # k is the index of the largest ladder below l whose sum with l is divisible by p-1
+            k = j - ((2 * l - 1) % (p - 1) + 1)
+            lhs = brems[k] - badds[j]
             if m == 1:
-                rhs = lad[l] - lad[l - 1] + lad[k] - zzs[k] + zzs[l - p + 1]
+                rhs = lad[j] - lad[j - 1] + lad[k] - zzs[k] + zzs[j - p + 1]
             else:
-                rhs = lad[l] - lad[l - 1] - lad[k + 1] + lad[k] - zzs[k] + zzs[l - p + 1]
+                rhs = lad[j] - lad[j - 1] - lad[k + 1] + lad[k] - zzs[k] + zzs[j - p + 1]
             rows.append(IdentityRow("zzlem", l, lhs, rhs, lhs == rhs))
-            rows.append(IdentityRow("zzreglem", l, reg_zzs[l], zzs[l], reg_zzs[l] <= zzs[l]))
+            rows.append(IdentityRow("zzreglem", l, reg_zzs[j], zzs[j], reg_zzs[j] <= zzs[j]))
     return rows

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -108,24 +108,32 @@ def part(lam: Partition, r: int) -> int:
 
 
 def is_strict(lam: Partition) -> bool:
-    return all(lam[k] > lam[k + 1] for k in range(len(lam) - 1))
+    """Every part exceeds the next one; one C-level pass of ``gt`` over
+    neighbouring parts."""
+    return all(map(gt, lam, lam[1:]))
 
 
 def is_p_strict(lam: Partition, p: int) -> bool:
-    return all(lam[k] > lam[k + 1] or lam[k] % p == 0 for k in range(len(lam) - 1))
+    """Every part exceeds the next one or is divisible by p; one pass
+    over neighbouring parts."""
+    for a, b in zip(lam, lam[1:]):
+        if a <= b and a % p:
+            return False
+    return True
 
 
 def is_restricted(lam: Partition, p: int) -> bool:
+    """p-strict, and each part exceeds the next one (the last part: 0) by
+    less than p, or by exactly p when p does not divide it.
+
+    Any sequence of ints is accepted: the trailing zero is appended to a
+    new tuple, never to lam.
+    """
     if not is_p_strict(lam, p):
         return False
-    for k in range(len(lam)):
-        nxt = lam[k + 1] if k + 1 < len(lam) else 0
-        gap = lam[k] - nxt
-        if gap < p:
-            continue
-        if gap == p and lam[k] % p != 0:
-            continue
-        return False
+    for a, b in zip(lam, (*lam[1:], 0)):
+        if a - b > p or a - b == p and not a % p:
+            return False
     return True
 
 

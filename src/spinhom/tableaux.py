@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 from typing import Iterator, Sequence
 
 from .ladders import residue
@@ -35,24 +36,18 @@ class ShiftedTableau:
     def size(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     def is_standard(self) -> bool:
-        shape = self.shape
-        if not is_strict(shape):
+        """Strict shape, entries 1..n once each, and every neighbour pair in
+        order: along each row, and t(r, c+1) < t(r+1, c) between each row
+        and the next (the row above shifted one cell left)."""
+        rows = self.rows
+        if not is_strict(self.shape):
             return False
-        if sorted(v for row in self.rows for v in row) != list(range(1, self.size + 1)):
+        if sorted(v for row in rows for v in row) != list(range(1, self.size + 1)):
             return False
-        for r in range(1, len(shape) + 1):
-            for c in range(1, shape[r - 1] + 1):
-                if c < shape[r - 1] and not self.entry(r, c) < self.entry(r, c + 1):
-                    return False
-                # the shifted column condition pairs (r, c+1) with (r+1, c)
-                if r < len(shape) and c <= shape[r] and c + 1 <= shape[r - 1]:
-                    if not self.entry(r, c + 1) < self.entry(r + 1, c):
-                        return False
-        return True
+        return all(all(map(lt, row, row[1:])) for row in rows) and all(
+            all(map(lt, upper[1:], lower)) for upper, lower in zip(rows, rows[1:])
+        )
 
     def residue_word(self, p: int) -> tuple[int, ...]:
         """Entry-ordered residues: position k holds the residue of t^{-1}(k)."""

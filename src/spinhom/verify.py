@@ -470,10 +470,8 @@ def _tableau_rows(lam: Partition, p: int) -> Iterator[Row]:
     yield _row(name, "enumeration_count", "", len(tabs), g, len(tabs) == g and distinct)
     yield _holds(name, "enumeration_standard", "", all(t.is_standard() for t in tabs))
     if tabs and sum(lam) <= 10:
-        words_ok = all(
-            sorted(t.residue_word(p)) == sorted(k for k, v in ladders.content(lam, p).items() for _ in range(v))
-            for t in tabs
-        )
+        word = sorted(k for k, v in ladders.content(lam, p).items() for _ in range(v))
+        words_ok = all(sorted(t.residue_word(p)) == word for t in tabs)
         yield _holds(name, "residue_word_content", "", words_ok)
 
 

@@ -241,6 +241,19 @@ def test_output_guards_raise_runtime_error(monkeypatch, op, mu):
         op(mu, 0, 3)
 
 
+def test_boundary_column_guard_raises_runtime_error(monkeypatch):
+    # reaches forced to put an addable node at (2, 2) and a removable one at (1, 2) of (2, 1)
+    import spinhom.branching as branching
+
+    monkeypatch.setattr(branching, "_reach", lambda lam, i, p, mode, direction: [0, 1, 0] if direction > 0 else [-1, 0])
+    boundary_nodes.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"boundary 0-nodes of \(2, 1\) share a column \(p=3, mode=strict\)"):
+            boundary_nodes((2, 1), 0, 3, "strict")
+    finally:
+        boundary_nodes.cache_clear()
+
+
 def test_signature_example():
     sig = signature((5, 4, 3, 2, 1), 0, 3)
     assert sig.raw == "-+-++"

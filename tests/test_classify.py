@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
-from spinhom import dimensions
-from spinhom.branching import boundary_nodes, signature
+from spinhom import classify, dimensions
+from spinhom.branching import boundary_nodes, ladder_obstruction, signature
 from spinhom.classify import (
     CONJ_HOM,
     CONJ_NOT,
@@ -154,3 +157,40 @@ def test_obstruction_same_with_cold_and_warm_memos():
     assert [homogeneity_obstruction(lam) for lam in reversed(lams)] == cold[::-1]
     assert boundary_nodes.cache_info().hits and regularize.cache_info().hits
     assert signature.cache_info().hits
+
+
+def test_certify_outputs_pinned():
+    # verdict and certificate of every strict partition of n <= 30, as the
+    # bench's certify workload reports them (the n <= 34 digest is c93d6d25b49fe7c4)
+    rows = []
+    for n in range(31):
+        for lam in strict_partitions_of(n):
+            verdict = classify_homogeneous(lam)
+            cert = homogeneity_obstruction(lam)
+            rows.append([
+                list(lam), verdict.status, verdict.reason,
+                None if cert is None else cert.kind,
+                None if cert is None or cert.witness is None else list(cert.witness),
+            ])
+    assert len(rows) == 2035
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "a90b3dba48b414fd"
+
+
+def test_obstruction_regularises_only_past_the_first_ladder_test(monkeypatch):
+    calls = []
+    real = classify.regularize
+
+    def spy(lam, p):
+        calls.append(lam)
+        return real(lam, p)
+
+    monkeypatch.setattr(classify, "regularize", spy)
+    for lam in ((5, 1), (4, 2)):
+        assert ladder_obstruction(lam, 0, 3)
+        assert homogeneity_obstruction(lam).kind == "Obstruction_certificate"
+    assert calls == []
+    # past the first ladder test lam is regularised once, then each
+    # restriction check regularises its own removal
+    lam = (8, 5, 3, 2, 1)
+    assert homogeneity_obstruction(lam) is None
+    assert calls.count(lam) == 1 and calls[0] == lam and len(calls) == 3

@@ -11,6 +11,7 @@ from spinhom.partitions import (
     has_shape,
     is_p_strict,
     is_odd_partition,
+    is_restricted,
     is_strict,
     join,
     l_p,
@@ -216,3 +217,38 @@ def test_require_shape_table():
                     require_shape(lam, shape, p)
     with pytest.raises(PartitionError, match="unknown shape 'bogus'"):
         has_shape((1,), "bogus", 3)
+
+
+# reference copies of the index loops the shape predicates replaced
+def _is_strict_loop(lam):
+    return all(lam[k] > lam[k + 1] for k in range(len(lam) - 1))
+
+
+def _is_p_strict_loop(lam, p):
+    return all(lam[k] > lam[k + 1] or lam[k] % p == 0 for k in range(len(lam) - 1))
+
+
+def _is_restricted_loop(lam, p):
+    if not _is_p_strict_loop(lam, p):
+        return False
+    for k in range(len(lam)):
+        nxt = lam[k + 1] if k + 1 < len(lam) else 0
+        gap = lam[k] - nxt
+        if gap < p:
+            continue
+        if gap == p and lam[k] % p != 0:
+            continue
+        return False
+    return True
+
+
+def test_shape_predicates_match_the_index_loops():
+    refused = [(3, 3), (2, 2), (4, 4), (3,), (4, 1, 1), (6, 6, 3, 3), (1, 2), (3, 6)]
+    cases = [lam for n in range(17) for lam in partitions_of(n)] + refused
+    assert () in cases
+    for lam in cases:
+        for seq in (lam, list(lam)):
+            assert is_strict(seq) == _is_strict_loop(lam), lam
+            for p in (3, 5, 7):
+                assert is_p_strict(seq, p) == _is_p_strict_loop(lam, p), (lam, p)
+                assert is_restricted(seq, p) == _is_restricted_loop(lam, p), (lam, p)

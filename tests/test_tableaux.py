@@ -1,6 +1,6 @@
 import pytest
 
-from spinhom import tableaux
+from spinhom import ladders, tableaux, verify
 from spinhom.ladders import content
 from spinhom.partitions import PartitionError, scaled_add, strict_partitions_of
 from spinhom.tableaux import (
@@ -133,3 +133,56 @@ def test_patterned_tableau_malformed_region():
         find_patterned_tableau((5, 3, 1), (4, 3, 1), 3)
     with pytest.raises(PartitionError):
         find_patterned_tableau((4, 3, 1), (5,), 3)
+
+
+def _is_standard_by_entries(rows):
+    # reference: the entry-by-entry check the neighbour comparison replaced
+    shape = tuple(len(row) for row in rows)
+    if any(shape[k] <= shape[k + 1] for k in range(len(shape) - 1)):
+        return False
+    if sorted(v for row in rows for v in row) != list(range(1, sum(shape) + 1)):
+        return False
+    for r in range(1, len(shape) + 1):
+        for c in range(1, shape[r - 1] + 1):
+            if c < shape[r - 1] and not rows[r - 1][c - 1] < rows[r - 1][c]:
+                return False
+            if r < len(shape) and c <= shape[r] and c + 1 <= shape[r - 1]:
+                if not rows[r - 1][c] < rows[r][c - 1]:
+                    return False
+    return True
+
+
+def _swapped(rows, a, b):
+    swap = {a: b, b: a}
+    return tuple(tuple(swap.get(v, v) for v in row) for row in rows)
+
+
+def test_is_standard_matches_the_entry_by_entry_check():
+    seen = {True: 0, False: 0}
+    for n in range(10):
+        for lam in strict_partitions_of(n):
+            for tab in enumerate_sst(lam):
+                variants = [tab.rows] + [_swapped(tab.rows, k, k + 1) for k in range(1, n)]
+                variants += [_swapped(tab.rows, 1, n), tab.rows + ((),), tab.rows[:-1]]
+                for rows in variants:
+                    want = _is_standard_by_entries(rows)
+                    assert ShiftedTableau(rows).is_standard() == want, rows
+                    seen[want] += 1
+    # non-strict shapes, repeated and missing entries
+    for rows in (((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6)), ((1, 1, 2),), ((1, 2, 4),), ((), ()), ((2, 3), (1,))):
+        assert ShiftedTableau(rows).is_standard() == _is_standard_by_entries(rows) is False, rows
+    assert seen[True] and seen[False]
+
+
+def test_tableau_rows_read_the_content_once_per_shape(monkeypatch):
+    calls = []
+    real = ladders.content
+
+    def spy(lam, p):
+        calls.append(lam)
+        return real(lam, p)
+
+    monkeypatch.setattr(ladders, "content", spy)
+    rows = list(verify._tableau_rows((5, 3, 1), 3))
+    assert rows and all(row[-1] == "ok" for row in rows)
+    assert calls == [(5, 3, 1)]
