@@ -23,16 +23,14 @@ partial partition with more of the profile left to place is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .ladders import _MEMO_SIZE, ladder_profile, regularize
 from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, has_shape, is_p_strict, require_shape
 
 
-@dataclass(frozen=True)
-class BarRemoval:
+class BarRemoval(NamedTuple):
     kind: str  # "decrease" or "delete_pair"
     result: Partition
 
@@ -72,8 +70,7 @@ def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
     return list(_bar_moves(lam, p))
 
 
-@dataclass(frozen=True)
-class BarCoreResult:
+class BarCoreResult(NamedTuple):
     core: Partition
     weight: int
 

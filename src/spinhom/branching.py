@@ -46,9 +46,9 @@ checked ``partitions.move_nodes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .ladders import _MEMO_SIZE, ladder_index, regularize, residue
 from .partitions import (
@@ -163,8 +163,7 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
 # signatures and the tilde operators
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     raw: str
     reduced: str
     normals: tuple[Node, ...]
@@ -253,8 +252,7 @@ def normal_extremal(mu: Partition, i: int, p: int, direction: str) -> Partition:
 # extremal node moves on strict partitions
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     result: Partition
     count: int
 

@@ -26,7 +26,7 @@ module contexts via spin parity and the count of parts divisible by 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barcores import is_bar_core
 from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
@@ -55,8 +55,7 @@ EXCEPTIONAL_HOMOGENEOUS: frozenset[Partition] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SpecialDecomposition:
+class SpecialDecomposition(NamedTuple):
     core: Partition
     alpha: Partition
 
@@ -103,8 +102,7 @@ def carter3(alpha: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     reason: str
 
@@ -163,8 +161,7 @@ def classify_homogeneous(lam: Partition) -> Verdict:
 # independent certificates of inhomogeneity
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str  # "Obstruction_certificate", "Eps_mismatch", "Restriction_mismatch", "Degree_witness"
     witness: Partition | None = None
 
@@ -205,8 +202,7 @@ def homogeneity_obstruction(lam: Partition) -> Certificate | None:
 # module-level irreducibility
 
 
-@dataclass(frozen=True)
-class IrredVerdict:
+class IrredVerdict(NamedTuple):
     context: str  # "super", "sn", "an"
     labels: tuple[str, ...]
     irreducible: bool

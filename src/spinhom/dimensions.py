@@ -23,19 +23,18 @@ Every quantity here is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, perm, prod
+from typing import NamedTuple
 
 from .barcores import reg_preimages
 from .ladders import is_p_odd, regularize
 from .partitions import STRICT, Partition, is_odd_partition, l_p, require_shape
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     dim: int
     g: int
     two_exp: int
@@ -61,8 +60,7 @@ def spin_dim(lam: Partition) -> DimensionReport:
     return DimensionReport((1 << two_exp) * g, g, two_exp)
 
 
-@dataclass(frozen=True)
-class RegnMultiplicities:
+class RegnMultiplicities(NamedTuple):
     s_to_d: int
     p_to_s: int
 

@@ -20,9 +20,8 @@ always has first part congruent to 1 mod 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .partitions import Partition, PartitionError, run_down
 
@@ -46,8 +45,7 @@ def tau(l: int) -> Partition:
     return _suffix(run_down(3 * l - 1, 8), (6, 5, 3, 2), l + 2)
 
 
-@dataclass(frozen=True)
-class DegreeFamily:
+class DegreeFamily(NamedTuple):
     """One lam/mu pair family with its exact ratio bookkeeping.
 
     ``ratio_kind`` is "direct" when ``ratio`` gives

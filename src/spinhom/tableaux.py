@@ -15,17 +15,15 @@ is full, so the stream order is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .ladders import residue
 from .partitions import STRICT, Partition, PartitionError, contains, is_strict, move_nodes, require_shape
 
 
-@dataclass(frozen=True)
-class ShiftedTableau:
+class ShiftedTableau(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
     @property

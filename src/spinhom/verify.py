@@ -47,7 +47,6 @@ import select
 import signal
 import struct
 import tempfile
-import traceback
 from collections import Counter
 from contextlib import suppress
 from itertools import combinations, groupby
@@ -134,11 +133,13 @@ def run_tasks(tasks: Sequence[Task], threads: int) -> list[list[Row]]:
     exception is raised again here with its type and message, its cause
     carrying the worker's traceback, and a worker that ends without
     reporting every task it took makes the call raise, so a run never
-    returns fewer rows than its tasks made.  A task's rows are listed
-    inside its task, so a check that raises midway fails that task in
-    both paths.  The workers are forked, so
-    they inherit the tasks and every memo as they stand; forking is safe
-    only in a process that runs no other thread, as the CLI does.
+    returns fewer rows than its tasks made.  Only a failing worker
+    imports ``traceback``, so neither the parent nor any worker of a
+    clean run loads it.  A task's rows are listed inside its task, so a
+    check that raises midway fails that task in both paths.  The workers
+    are forked, so they inherit the tasks and every memo as they stand;
+    forking is safe only in a process that runs no other thread, as the
+    CLI does.
     """
     _require_threads(threads)
     if threads == 1 or len(tasks) <= 1:
@@ -207,9 +208,11 @@ def _run_forked(tasks: Sequence[Task], workers: int) -> list[list[Row]]:
 def _work(tasks: Sequence[Task], queue_r: int, queue_w: int, spool) -> NoReturn:
     """A forked worker: run each task index the queue hands out and spool
     its pickled ``(index, rows)``, or ``(index, exception, traceback)``
-    and stop.  It ends with ``os._exit``, so nothing the parent had
-    buffered (stdout included) is written twice; the exit code is 0 once
-    the spool is flushed."""
+    and stop.  ``traceback`` is imported on that failure path alone: the
+    success path imports nothing, so no worker of a clean run loads it.
+    It ends with ``os._exit``, so nothing the parent had buffered (stdout
+    included) is written twice; the exit code is 0 once the spool is
+    flushed."""
     code = 1
     try:
         os.close(queue_w)
@@ -219,6 +222,8 @@ def _work(tasks: Sequence[Task], queue_r: int, queue_w: int, spool) -> NoReturn:
             try:
                 reply = pickle.dumps((index, list(fn(*args))), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:  # the parent raises it again
+                import traceback
+
                 spool.write(pickle.dumps((index, exc, traceback.format_exc()), pickle.HIGHEST_PROTOCOL))
                 break
             spool.write(reply)

@@ -22,10 +22,10 @@ a small text format, never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .partitions import Partition, PartitionError, check_odd_prime, conjugate, contains, format_partition, parse_partition, partitions_of
 
@@ -138,22 +138,18 @@ def is_p_regular(lam: Partition, p: int) -> bool:
     return all(lam.count(a) < p for a in set(lam))
 
 
-@dataclass(frozen=True)
-class DecompMatrix:
+class DecompMatrix(NamedTuple):
+    """A decomposition matrix as ``parse_decomp_matrix`` builds it, once:
+    ``entries`` maps each listed ``(row, col)`` to its multiplicity, and
+    ``columns`` holds the column labels, greatest first."""
+
     p: int
     d: int
-    entries: tuple[tuple[tuple[Partition, Partition], int], ...]
-
-    @cached_property
-    def _lookup(self) -> dict[tuple[Partition, Partition], int]:
-        return dict(self.entries)
+    entries: dict[tuple[Partition, Partition], int]
+    columns: tuple[Partition, ...]
 
     def mult(self, row: Partition, col: Partition) -> int:
-        return self._lookup.get((row, col), 0)
-
-    @property
-    def columns(self) -> tuple[Partition, ...]:
-        return tuple(sorted({col for (_, col), _ in self.entries}, reverse=True))
+        return self.entries.get((row, col), 0)
 
 
 def parse_decomp_matrix(text: str) -> DecompMatrix:
@@ -200,10 +196,11 @@ def parse_decomp_matrix(text: str) -> DecompMatrix:
                 chunk = []
         if chunk:
             raise PartitionError(f"dangling tokens {chunk} in line {ln!r}")
-    for col in {c for (_, c) in entries}:
+    labels = {c for (_, c) in entries}
+    for col in labels:
         if entries.get((col, col), 0) != 1:
             raise PartitionError(f"diagonal entry for {col} must be 1")
-    return DecompMatrix(p, d, tuple(sorted(entries.items(), reverse=True)))
+    return DecompMatrix(p, d, entries, tuple(sorted(labels, reverse=True)))
 
 
 def load_decomp_matrix(source: str) -> DecompMatrix:

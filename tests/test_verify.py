@@ -226,6 +226,27 @@ def test_task_error_in_a_worker_is_raised_again_in_the_parent(deadline):
     _assert_no_child_left()
 
 
+def test_a_worker_failure_carries_its_traceback_in_a_fresh_interpreter():
+    # pytest has always loaded traceback, so only a fresh interpreter shows
+    # that a failing worker imports it and that a clean run never does
+    script = """
+import sys
+from spinhom import verify
+from spinhom.partitions import PartitionError
+verify.run_tasks(verify.suite_ladders(3, 6), 2)
+if "traceback" in sys.modules:
+    sys.exit("a clean forked run loaded traceback")
+try:
+    verify.run_tasks(verify.suite_ladders(3, 8) + [(verify._ladder_rows, ((2, 2), 3))], 2)
+except PartitionError as exc:
+    print(exc.__cause__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "in require_shape" in proc.stdout, proc.stdout
+
+
 def test_a_worker_that_ends_without_reporting_fails_the_run(deadline):
     # a run that lost a task's rows must raise, never return fewer rows
     tasks = verify.suite_ladders(3, 8) + [(_exits_unreported, ())] + verify.suite_ladders(3, 4)

@@ -3,6 +3,7 @@ oracle: Schur polynomials are expanded as explicit monomial dictionaries
 via semistandard tableaux, products are expanded back into the Schur
 basis by repeatedly stripping the lex-leading term."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -226,6 +227,21 @@ def test_parse_decomp_matrix():
     assert m.mult((1, 1, 1), (2, 1)) == 1
     assert m.mult((1, 1, 1), (3,)) == 0
     assert m.columns == ((3,), (2, 1))
+    # the bundled matrices: columns greatest first, and a sha256 prefix of
+    # every column's multiplicities over all rows of its degree
+    pinned = {
+        1: (((1,),), "42b66ea101ca99a0"),
+        2: (((2,), (1, 1)), "5d4993e5091f0db7"),
+        3: (((3,), (2, 1)), "0f20ccee5fe8ea26"),
+        4: (((4,), (3, 1), (2, 2), (2, 1, 1)), "d6f3bb6972faa802"),
+        5: (((5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1)), "df2307cbb9940b42"),
+        6: (((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 1, 1)), "80cf829cd0d4e11e"),
+    }
+    for d, (columns, digest) in pinned.items():
+        matrix = bundled_decomp_matrix(d)
+        assert matrix.columns == columns, d
+        table = [(col, [matrix.mult(row, col) for row in partitions_of(d)]) for col in columns]
+        assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, d
 
 
 def test_parse_decomp_matrix_rejects():
