@@ -18,7 +18,10 @@ of length c the strictly shorter rows hold at most c(c-1)/2 nodes, so a
 partial partition with more of the profile left to place is dropped.
 
 ``bar_core`` and ``is_bar_core`` read only the first removal of
-``_bar_moves``, the generator behind ``bar_removals``.
+``_bar_moves``, the generator behind ``bar_removals``.  p-strictness is
+checked once per question: ``bar_removals`` and ``bar_core`` require it,
+``is_bar_core`` and ``bar_additions`` test it, and ``_bar_moves`` trusts
+its caller and checks each result it makes.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ def _bar_moves(lam: Partition, p: int) -> Iterator[BarRemoval]:
     """The single p-bar removals from lam, lowered parts first, each
     result checked p-strict as it is made.
 
-    A caller that needs only the first removal, or only whether there
-    is one, stops after it and pays for that one alone.
+    lam must be p-strict; the caller has checked it.  A caller that
+    needs only the first removal, or only whether there is one, stops
+    after it and pays for that one alone.
     """
-    require_shape(lam, PSTRICT, p)
     parts = set(lam)
     for r, a in enumerate(lam, start=1):
         if a < p:
@@ -67,6 +70,7 @@ def _bar_moves(lam: Partition, p: int) -> Iterator[BarRemoval]:
 
 def bar_removals(lam: Partition, p: int) -> list[BarRemoval]:
     """All single p-bar removals from lam, each yielding a p-strict result."""
+    require_shape(lam, PSTRICT, p)
     return list(_bar_moves(lam, p))
 
 
@@ -79,11 +83,13 @@ class BarCoreResult(NamedTuple):
 def bar_core(lam: Partition, p: int) -> BarCoreResult:
     """Iterate bar removal to its fixed point (order independent).
 
-    Each step takes the first removal alone.  Memoised on the last
-    ``_MEMO_SIZE`` (64) arguments, enough for every strict partition of
-    one n <= 16; every check runs on each miss, and an input that
-    raises is never stored.
+    Each step takes the first removal alone; lam is checked p-strict
+    once, and each later shape was checked as the move before made it.
+    Memoised on the last ``_MEMO_SIZE`` (64) arguments, enough for every
+    strict partition of one n <= 16; every check runs on each miss, and
+    an input that raises is never stored.
     """
+    require_shape(lam, PSTRICT, p)
     current = lam
     weight = 0
     while (move := next(_bar_moves(current, p), None)) is not None:
@@ -118,9 +124,7 @@ def bar_additions(lam: Partition, p: int) -> list[Partition]:
         candidates.add(tuple(sorted(lam + (a, p - a), reverse=True)))
     out = []
     for mu in candidates:
-        if not is_p_strict(mu, p):
-            continue
-        if any(move.result == lam for move in bar_removals(mu, p)):
+        if is_p_strict(mu, p) and any(move.result == lam for move in _bar_moves(mu, p)):
             out.append(mu)
     return sorted(out, reverse=True)
 

@@ -24,7 +24,8 @@ decides every row, and shrinking is the mirror image, one pass up.
 Each row's feasible amounts form a range from 0, and its boundary
 nodes are the cells up to the farthest one.  A residue depends only on
 the column mod p, so the sweep reads it from the residue table of p
-(``_column_residues``, one entry per class mod p).
+(``_column_residues``), cut to the columns 0 .. lam_1 + 2 it can reach
+when p is larger, so a large p costs no more memory than the partition.
 
 On restricted p-strict partitions the i-signature (boundary nodes read
 by increasing column, "+" for addable, "-" for removable) reduces by
@@ -77,12 +78,14 @@ def _require_direction(direction: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _column_residues(p: int) -> tuple[int, ...]:
-    """The residue table of p: entry c % p is the residue of column c.
+def _column_residues(p: int, width: int) -> tuple[int, ...]:
+    """The residue table of p: entry c % p is the residue of column c, for
+    the ``width`` columns 0 .. width - 1 (all of them when width == p).
 
-    Memoised without a bound: one entry per prime met.
+    Memoised without a bound: one entry per prime and width met, and at
+    p <= lam_1 + 3 the width is p.
     """
-    return tuple(residue(1, c, p) for c in range(p))
+    return tuple(residue(1, c, p) for c in range(width))
 
 
 def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
@@ -98,7 +101,8 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
     and up them when shrinking, carrying the shortest length of the row
     below.
     """
-    residues = _column_residues(p)
+    # a move reaches columns up to lam_1 + 2, so c % p < width
+    residues = _column_residues(p, min(p, (lam[0] if lam else 0) + 3))
     pstrict = mode == PSTRICT
     rows = list(lam) + [0] if direction > 0 else list(lam)
     reach = [0] * len(rows)

@@ -32,7 +32,7 @@ from .barcores import is_bar_core
 from .branching import eps_i, extremal, ladder_obstruction, normal_extremal
 from .dimensions import degree_witness
 from .ladders import regularize
-from .partitions import STRICT, Partition, PartitionError, conjugate, is_odd_partition, l_p, require_shape
+from .partitions import STRICT, Partition, PartitionError, conjugate, is_odd_partition, l_p, require_shape, run_down
 
 PROVEN_HOM = "ProvenHomogeneous"
 PROVEN_NOT = "ProvenNotHomogeneous"
@@ -69,7 +69,7 @@ def special_decompose(lam: Partition) -> SpecialDecomposition | None:
         return None
     i = residues.pop()
     l = len(lam)
-    core = tuple(3 * (l - r - 1) + i for r in range(l))
+    core = run_down(3 * (l - 1) + i, i)
     alpha = tuple((lam[r] - core[r]) // 3 for r in range(l))
     alpha = tuple(a for a in alpha if a > 0)
     if not all((lam[r] - core[r]) % 3 == 0 and lam[r] >= core[r] for r in range(l)):
@@ -80,7 +80,8 @@ def special_decompose(lam: Partition) -> SpecialDecomposition | None:
 def carter3(alpha: Partition) -> bool:
     """Hook lengths in each column share their 3-adic valuation.
 
-    Compared pairwise over rows r < s at every column of row s.
+    Column c, of height h, holds the hooks alpha[r] - c + h - r for r
+    from 0; their set of valuations must have one element.
     """
     def val3(m: int) -> int:
         v = 0
@@ -89,17 +90,10 @@ def carter3(alpha: Partition) -> bool:
             v += 1
         return v
 
-    conj = conjugate(alpha)
-
-    def hook(r: int, c: int) -> int:
-        return alpha[r - 1] - c + conj[c - 1] - r + 1
-
-    for s in range(2, len(alpha) + 1):
-        for r in range(1, s):
-            for c in range(1, alpha[s - 1] + 1):
-                if val3(hook(r, c)) != val3(hook(s, c)):
-                    return False
-    return True
+    return all(
+        len({val3(alpha[r] - c + h - r) for r in range(h)}) == 1
+        for c, h in enumerate(conjugate(alpha), start=1)
+    )
 
 
 class Verdict(NamedTuple):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .partitions import Partition, PartitionError, run_down
+from .partitions import Partition, PartitionError, is_strict, run_down
 
 
 def _suffix(head: Partition, tail: Partition, length: int) -> Partition:
@@ -265,6 +265,6 @@ def staircase_adjusted(l: int, tup: tuple[int, ...]) -> Partition:
         raise PartitionError("tuple length must be l+1")
     parts = tuple(3 * (l + 1 - r) - 1 + a for r, a in enumerate(tup, start=1))
     out = tuple(a for a in parts if a > 0)
-    if any(out[k] <= out[k + 1] for k in range(len(out) - 1)):
+    if not is_strict(out):
         raise PartitionError(f"tuple {tup} does not give a strict partition")
     return out

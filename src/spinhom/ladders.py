@@ -82,12 +82,10 @@ def ladder_positions(l: int, p: int) -> tuple[tuple[int, int], ...]:
     out = []
     r_max = l // (p - 1) + 1
     for r in range(r_max, 0, -1):
-        m = l - (p - 1) * (r - 1)
-        if m < 0:
-            continue
+        m = l - (p - 1) * (r - 1)  # r <= l // (p-1) + 1 keeps m >= 0
         # columns c with floor((p-1)c/p) == m form a window of width 1 or 2
         c = (m * p + p - 2) // (p - 1)  # smallest c with (p-1)c/p >= m
-        while ((p - 1) * c) // p == m:
+        while ladder_index(1, c, p) == m:
             if c >= 1:
                 out.append((r, c))
             c += 1
@@ -101,7 +99,7 @@ def _row_ladders(a: int, p: int) -> tuple[tuple[int, int], ...]:
     The node (r, c) lies in ladder offset + (p-1)*(r-1).  Memoised without
     a bound: one entry per row length and prime met.
     """
-    return tuple(Counter(((p - 1) * c) // p for c in range(1, a + 1)).items())
+    return tuple(Counter(ladder_index(1, c, p) for c in range(1, a + 1)).items())
 
 
 def ladder_profile(lam: Partition, p: int) -> dict[int, int]:

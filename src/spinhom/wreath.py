@@ -23,7 +23,6 @@ a small text format, never computed.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -203,7 +202,7 @@ def parse_decomp_matrix(text: str) -> DecompMatrix:
     return DecompMatrix(p, d, entries, tuple(sorted(labels, reverse=True)))
 
 
-def load_decomp_matrix(source: str) -> DecompMatrix:
+def load_decomp_matrix(source: str | Path) -> DecompMatrix:
     try:
         text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
@@ -213,9 +212,7 @@ def load_decomp_matrix(source: str) -> DecompMatrix:
 
 def bundled_decomp_matrix(d: int) -> DecompMatrix:
     """Decomposition matrix shipped with the package (p=3, d <= 6)."""
-    name = f"s{d}_p3.txt"
-    data = resources.files("spinhom").joinpath("data/decomp").joinpath(name)
-    return parse_decomp_matrix(data.read_text(encoding="utf-8"))
+    return load_decomp_matrix(Path(__file__).with_name("data") / "decomp" / f"s{d}_p3.txt")
 
 
 def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> int:

@@ -24,6 +24,7 @@ from spinhom.classify import classify_homogeneous
 from spinhom.ladders import content, ladder_profile, regularize
 from spinhom.partitions import (
     PartitionError,
+    is_p_strict,
     is_restricted,
     is_strict,
     join,
@@ -137,6 +138,42 @@ def test_bar_additions_invert_removals():
                 for mu in p_strict_partitions_of(n + p, p):
                     if any(m.result == lam for m in bar_removals(mu, p)):
                         assert mu in ups, (lam, mu)
+
+
+def _bar_additions_through_removals(lam, p):
+    """Every p-strict candidate whose full list of removals holds lam."""
+    candidates = {tuple(sorted(lam[:r] + (lam[r] + p,) + lam[r + 1 :], reverse=True)) for r in range(len(lam))}
+    candidates.add(tuple(sorted(lam + (p,), reverse=True)))
+    candidates |= {tuple(sorted(lam + (a, p - a), reverse=True)) for a in range(p // 2 + 1, p)}
+    return sorted(
+        (mu for mu in candidates if is_p_strict(mu, p) and any(m.result == lam for m in bar_removals(mu, p))),
+        reverse=True,
+    )
+
+
+def test_bar_additions_match_the_filter_through_bar_removals():
+    for p in (3, 5):
+        for n in range(12):
+            for lam in p_strict_partitions_of(n, p):
+                assert bar_additions(lam, p) == _bar_additions_through_removals(lam, p), (lam, p)
+
+
+def test_is_bar_core_tests_p_strictness_once(monkeypatch):
+    import spinhom.partitions as partitions
+
+    calls = []
+
+    def spy(lam, p):
+        calls.append(lam)
+        return is_p_strict(lam, p)
+
+    monkeypatch.setattr(partitions, "is_p_strict", spy)
+    monkeypatch.setattr(barcores, "is_p_strict", spy)
+    assert is_bar_core((4, 1), 3)
+    assert calls == [(4, 1)]
+    calls.clear()
+    assert not is_bar_core((2, 2), 3)
+    assert calls == [(2, 2)]
 
 
 def test_block_members_against_filter():

@@ -164,6 +164,26 @@ def test_boundary_examples():
     assert adds == () and rems == ()
 
 
+
+def test_a_large_p_costs_no_more_memory_than_the_partition(monkeypatch):
+    import tracemalloc
+
+    import spinhom.branching as branching
+
+    p = 1000003
+    boundary_nodes.cache_clear()
+    branching._column_residues.cache_clear()
+    tracemalloc.start()
+    try:
+        got = boundary_nodes((5, 4), 0, p, "strict")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the same nodes as from the table of one full period
+    monkeypatch.setattr(branching, "_column_residues", lambda p, width: tuple(residue(1, c, p) for c in range(p)))
+    assert got == boundary_nodes.__wrapped__((5, 4), 0, p, "strict") == (((3, 1),), ())
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_boundary_nodes_memo_is_transparent(p):
     # cold (cleared memo), warm (the same call again) and unmemoised agree

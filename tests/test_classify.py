@@ -21,7 +21,15 @@ from spinhom.classify import (
     special_decompose,
 )
 from spinhom.ladders import ladder_positions, regularize
-from spinhom.partitions import PartitionError, is_odd_partition, l_p, scaled_add, strict_partitions_of
+from spinhom.partitions import (
+    PartitionError,
+    conjugate,
+    is_odd_partition,
+    l_p,
+    partitions_of,
+    scaled_add,
+    strict_partitions_of,
+)
 from spinhom.verify import matches_module_list
 
 
@@ -53,6 +61,34 @@ def test_carter3():
     # any column of height 3 and the double-column pattern fail
     assert not carter3((2, 2, 2))
     assert not carter3((3, 3))
+
+
+def _carter3_pairwise(alpha):
+    """Carter's test as rows r < s compared at every column of row s."""
+    def val3(m):
+        v = 0
+        while m % 3 == 0:
+            m //= 3
+            v += 1
+        return v
+
+    conj = conjugate(alpha)
+
+    def hook(r, c):
+        return alpha[r - 1] - c + conj[c - 1] - r + 1
+
+    for s in range(2, len(alpha) + 1):
+        for r in range(1, s):
+            for c in range(1, alpha[s - 1] + 1):
+                if val3(hook(r, c)) != val3(hook(s, c)):
+                    return False
+    return True
+
+
+def test_carter3_matches_the_pairwise_row_loop():
+    for n in range(21):
+        for alpha in partitions_of(n):
+            assert carter3(alpha) == _carter3_pairwise(alpha), alpha
 
 
 def test_classify_examples():

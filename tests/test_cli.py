@@ -50,6 +50,13 @@ def test_block(capsys):
     assert set(out.split()) == {"7,1", "4,3,1"}
 
 
+def test_block_negative_weight(capsys):
+    assert main(["block", "--core", "4,1", "--weight", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight must be non-negative\n"
+
+
 def test_branch(capsys):
     code, out = run(capsys, "branch", "9,5,4,2", "--i", "0", "--op", "up")
     assert code == 0
@@ -125,6 +132,13 @@ def test_lr_and_cartan(capsys):
     assert json.loads(out) == {"value": 19, "threshold": 7}
 
 
+def test_lr_without_gamma_is_the_two_factor_coefficient(capsys):
+    code, out = run(capsys, "lr", "--alpha", "2", "--beta", "1", "--nu", "2,1")
+    assert code == 0 and json.loads(out) == {"coefficient": 1}
+    code, out = run(capsys, "lr", "--alpha", "2", "--beta", "1", "--nu", "2")
+    assert code == 0 and json.loads(out) == {"coefficient": 0}
+
+
 def test_cartan_char3(tmp_path, capsys):
     path = tmp_path / "s3.txt"
     path.write_text("p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n")
@@ -148,6 +162,17 @@ def test_enumerate(capsys):
     assert {line.split("\t")[0] for line in out.splitlines()} == {"6", "3,2,1"}
     code, out = run(capsys, "enumerate", "--n", "7", "--special", "only")
     assert {line.split("\t")[0] for line in out.splitlines()} == {"7", "5,2"}
+
+
+def test_enumerate_special_exclude_and_only_split_the_list(capsys):
+    argv = ("enumerate", "--n", "12", "--filter", "homogeneous")
+    code, full = run(capsys, *argv)
+    assert code == 0 and full
+    code, exclude = run(capsys, *argv, "--special", "exclude")
+    assert code == 0 and exclude
+    code, only = run(capsys, *argv, "--special", "only")
+    assert code == 0 and only
+    assert sorted(exclude.splitlines() + only.splitlines()) == sorted(full.splitlines())
 
 
 def test_domain_errors(capsys, tmp_path):

@@ -25,6 +25,12 @@ def test_run_down():
         run_down(9, 4)
 
 
+
+def test_sigma_and_tau_need_a_positive_l():
+    for fn in (sigma, tau):
+        with pytest.raises(PartitionError, match="^l must be positive$"):
+            fn(0)
+
 def test_sigma_tau_shapes():
     assert sigma(1) == (4, 3, 1)
     assert sigma(2) == (6, 4, 3, 1)

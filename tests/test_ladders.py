@@ -62,6 +62,28 @@ def test_ladder_positions_ascending():
             assert pos == ladder_positions.__wrapped__(l, p)
 
 
+def _ladder_positions_guarded(l, p):
+    """The column window of ladder l in each row, with an explicit guard
+    for the rows the ladder does not reach (m < 0)."""
+    out = []
+    for r in range(l // (p - 1) + 1, 0, -1):
+        m = l - (p - 1) * (r - 1)
+        if m < 0:
+            continue
+        c = (m * p + p - 2) // (p - 1)
+        while ((p - 1) * c) // p == m:
+            if c >= 1:
+                out.append((r, c))
+            c += 1
+    return tuple(out)
+
+
+def test_ladder_positions_match_the_guarded_window_loop():
+    for p in (3, 5, 7):
+        for l in range(121):
+            assert ladder_positions(l, p) == _ladder_positions_guarded(l, p), (l, p)
+
+
 def test_regularize_never_stores_a_failure():
     regularize.cache_clear()
     for _ in range(2):

@@ -37,7 +37,7 @@ def test_parse_examples():
     assert parse_partition("5,3,4") == (5, 4, 3)
 
 
-@pytest.mark.parametrize("bad", ["1,x", "0", "3,-1", "7..6", "5,,1", "2..5"])
+@pytest.mark.parametrize("bad", ["1,x", "0", "3,-1", "7..6", "5,,1", "2..5", "5..2..1", "a..2"])
 def test_parse_rejects(bad):
     # "0" is the empty partition, everything else malformed
     if bad == "0":

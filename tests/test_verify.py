@@ -169,6 +169,18 @@ def test_core_confluence_fails_on_a_removal_to_a_foreign_core(monkeypatch):
     assert ("4", "core_confluence", "", "[(1,)]", "[(1,)]", "ok") in rows
 
 
+
+def test_lr2_summary_row_fails_after_a_failing_coefficient(monkeypatch):
+    # one coefficient made asymmetric: c^{2,1}_{2,1} reads 2, c^{2,1}_{1,2} stays 1
+    real = verify.wreath.lr2
+    monkeypatch.setattr(
+        verify.wreath, "lr2", lambda alpha, beta, nu: real(alpha, beta, nu) + ((alpha, beta, nu) == ((2,), (1,), (2, 1)))
+    )
+    rows = list(verify._lr2_rows(3))
+    assert ("2,1", "lr2_symmetry", "(2,)|(1,)", "2", "1", "FAIL") in rows
+    assert rows[-1] == ("|nu|=3", "lr2_symmetry_conjugation", "", "all", "all", "FAIL")
+    assert list(verify._lr2_rows(2))[-1][5] == "ok"
+
 # the tasks below run only on forked workers; in the parent they would end
 # or stall the test session, so they refuse to run there
 PARENT = os.getpid()
