@@ -182,12 +182,15 @@ class SignatureReport(NamedTuple):
         return len(self.conormals)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def signature(mu: Partition, i: int, p: int) -> SignatureReport:
     """The i-signature of a restricted p-strict partition.
 
-    Memoised like ``boundary_nodes``: ``eps_i``, ``normal_extremal`` and
-    the tilde operators read the same signature in turn.
+    A restricted mu labels a regularisation fibre, and every member of
+    the fibre asks for its signature (``eps_i``, ``normal_extremal`` and
+    the tilde operators read it in turn), so the memo is keyed by fibre
+    and unbounded: one entry per (mu, i, p) met.  Every check runs on
+    each miss, and an input that raises is never stored.
     """
     require_shape(mu, RESTRICTED, p)
     adds, rems = boundary_nodes(mu, i, p, PSTRICT)

@@ -292,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # PartitionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # a recursive enumeration or LR sweep deeper than the stack
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -95,19 +95,27 @@ def ddeg_ratio(lam: Partition, mu: Partition, p: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _ranked_fibre(mu: Partition, p: int) -> tuple[tuple[int, Partition], ...]:
-    """(ddeg, nu) over the fibre of mu, least ddeg first; the stable sort
-    keeps reg_preimages' greatest-first order among equal ddeg."""
-    return tuple(sorted(((ddeg(nu, p), nu) for nu in reg_preimages(mu, p)), key=lambda entry: entry[0]))
+def _ranked_fibre(mu: Partition, p: int) -> dict[Partition, int]:
+    """The fibre of mu as a map nu -> ddeg(nu), least ddeg first.
+
+    The stable sort keeps reg_preimages' greatest-first order among equal
+    ddeg.  Keyed by fibre and unbounded: each fibre met is enumerated, and
+    each member's ddeg computed, once per process.
+    """
+    return dict(sorted(((nu, ddeg(nu, p)) for nu in reg_preimages(mu, p)), key=lambda entry: entry[1]))
 
 
 def degree_witness(lam: Partition, p: int) -> Partition | None:
     """A strict partner with the same regularisation and smaller ddeg, or None.
 
     The partner has the least ddeg in lam's regularisation fibre, and is
-    the lexicographically greatest among equal ddeg.  Each fibre is
-    enumerated and ranked once per process.
+    the lexicographically greatest among equal ddeg.  lam's own ddeg is
+    read from its ranked fibre, so ddeg is computed only while a fibre is
+    ranked, once per fibre and process.
     """
-    own = ddeg(lam, p)  # raises PartitionError unless lam is strict
-    least, nu = _ranked_fibre(regularize(lam, p), p)[0]
-    return nu if least < own else None
+    require_shape(lam, STRICT)
+    ranked = _ranked_fibre(regularize(lam, p), p)
+    if lam not in ranked:
+        raise RuntimeError(f"{lam} is missing from its regularisation fibre at p={p}")
+    nu, least = next(iter(ranked.items()))
+    return nu if least < ranked[lam] else None

@@ -25,13 +25,16 @@ from typing import NamedTuple
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
-# Entries kept by the memos of ``regularize``, ``branching.boundary_nodes``,
-# ``branching.signature`` and ``barcores.bar_core``.  The residue checks of
-# one partition and the signatures of its regularisation reuse a handful of
-# recent entries, and a block sweep over pairs of one n reuses the bar
-# cores of every strict partition of n (at most 64 for n <= 16); an
-# unbounded memo keeps every partition ever seen and grows the resident set
-# for little gain.
+# Entries kept by the partition-keyed memos: ``regularize``,
+# ``branching.boundary_nodes`` and ``barcores.bar_core``.  The residue checks
+# of one partition reuse a handful of recent entries, and a block sweep over
+# pairs of one n reuses the bar cores of every strict partition of n (at most
+# 64 for n <= 16); an unbounded memo would keep every partition ever seen and
+# grow the resident set for little gain.  Fibre-keyed memos
+# (``branching.signature`` on a restricted mu, ``dimensions._ranked_fibre``)
+# are unbounded instead: every member of a fibre asks for the same entry, and
+# a shuffled sweep returns to a fibre long after 64 other calls, so they keep
+# one entry per fibre met.
 _MEMO_SIZE = 64
 
 

@@ -15,7 +15,6 @@ is full, so the stream order is deterministic.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -90,13 +89,27 @@ def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
     yield from fill(sum(lam))
 
 
-@lru_cache(maxsize=None)
 def count_sst(lam: Partition) -> int:
-    """The number of standard shifted tableaux of the strict shape lam."""
+    """The number of standard shifted tableaux of the strict shape lam.
+
+    Counted level by level, without recursion, so a shape of any size
+    costs no stack: after k levels ``ways`` maps each shape left once the
+    entries n, n - 1, ..., n - k + 1 are placed (each at a row end whose
+    removal leaves a strict shape) to the number of ways to place them,
+    and after n levels only the empty shape is left.  No bar-length
+    product is used: this is the independent side of the
+    ``g_equals_tableau_count`` check.
+    """
     require_shape(lam, STRICT)
-    if sum(lam) == 0:
-        return 1
-    return sum(count_sst(move_nodes(lam, ((r, lam[r - 1]),), -1)) for r in _strict_corners(lam))
+    ways = {lam: 1}
+    for _ in range(sum(lam)):
+        below: dict[Partition, int] = {}
+        for mu, w in ways.items():
+            for r in _strict_corners(mu):
+                nu = move_nodes(mu, ((r, mu[r - 1]),), -1)
+                below[nu] = below.get(nu, 0) + w
+        ways = below
+    return ways[()]
 
 
 def find_patterned_tableau(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -230,3 +231,16 @@ def test_obstruction_regularises_only_past_the_first_ladder_test(monkeypatch):
     lam = (8, 5, 3, 2, 1)
     assert homogeneity_obstruction(lam) is None
     assert calls.count(lam) == 1 and calls[0] == lam and len(calls) == 3
+
+
+def test_one_certificate_sweep_computes_each_signature_once():
+    # signature is keyed by fibre: a shuffled sweep that returns to a fibre
+    # long after 64 other calls still finds its signatures stored
+    lams = [lam for n in range(27) for lam in strict_partitions_of(n)]
+    random.Random(1).shuffle(lams)
+    for memo in (boundary_nodes, signature, regularize, dimensions._ranked_fibre):
+        memo.cache_clear()
+    for lam in lams:
+        homogeneity_obstruction(lam)
+    info = signature.cache_info()
+    assert info.misses == info.currsize > 64

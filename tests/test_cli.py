@@ -102,6 +102,34 @@ def test_sst(capsys):
     assert lines == [{"rows": [[1, 2], [3]], "residues": [0, 1, 0]}]
 
 
+@pytest.mark.parametrize("shape", ["400", "1200"])
+def test_sst_count_of_a_long_row(capsys, shape):
+    code, out = run(capsys, "sst", shape, "--count-only")
+    assert code == 0 and json.loads(out) == {"count": 1}
+
+
+def test_sst_count_agrees_with_dim(capsys):
+    code, out = run(capsys, "sst", "40,30", "--count-only")
+    assert code == 0
+    code, dim = run(capsys, "dim", "40,30")
+    assert json.loads(out) == {"count": json.loads(dim)["g"]}
+
+
+@pytest.mark.parametrize("argv", [["sst", "990"], ["lr", "--alpha", "1", "--beta", "990", "--nu", "991"]])
+def test_input_deeper_than_the_stack_exits_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
+
+
+def test_witness_rejects_non_strict_partition(capsys):
+    assert main(["witness", "5,5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (5, 5) is not strict\n"
+
+
 @pytest.mark.parametrize(
     "argv, lam",
     [(["sst", "3,3"], "(3, 3)"), (["sst", "3,3", "--count-only"], "(3, 3)"), (["sst", "1,1", "--count-only"], "(1, 1)")],

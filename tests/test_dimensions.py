@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinhom import dimensions
 from spinhom.barcores import reg_preimages
 from spinhom.dimensions import (
     DimensionReport,
@@ -114,3 +115,37 @@ def test_g_counts_standard_shifted_tableaux(parts):
         parts.pop()
     lam = tuple(reversed(parts))
     assert spin_dim(lam).g == count_sst(lam)
+
+
+def test_degree_witness_reads_its_own_ddeg_from_the_ranked_fibre(monkeypatch):
+    calls = []
+
+    def spy(lam, p):
+        calls.append(lam)
+        return ddeg(lam, p)
+
+    monkeypatch.setattr(dimensions, "ddeg", spy)
+    _ranked_fibre.cache_clear()
+    assert degree_witness((9, 6, 3), 3) == (8, 7, 3)
+    assert sorted(calls) == sorted(reg_preimages(regularize((9, 6, 3), 3), 3)) and len(calls) == 13
+    calls.clear()
+    assert degree_witness((8, 7, 3), 3) is None  # the same fibre: no ddeg at all
+    assert calls == []
+
+
+def test_ranked_fibre_member_map_is_ddeg():
+    fibres = {regularize(lam, 3) for n in range(23) for lam in strict_partitions_of(n)}
+    for mu in fibres:
+        ranked = _ranked_fibre(mu, 3)
+        assert ranked == {nu: ddeg(nu, 3) for nu in reg_preimages(mu, 3)}, mu
+        assert list(ranked.values()) == sorted(ranked.values())
+
+
+def test_degree_witness_refuses_a_partition_missing_from_its_fibre(monkeypatch):
+    monkeypatch.setattr(dimensions, "reg_preimages", lambda mu, p: [(8, 7, 3)])
+    _ranked_fibre.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"^\(9, 6, 3\) is missing from its regularisation fibre at p=3$"):
+            degree_witness((9, 6, 3), 3)
+    finally:
+        _ranked_fibre.cache_clear()

@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
 
 from spinhom import ladders, tableaux, verify
+from spinhom.dimensions import spin_dim
 from spinhom.ladders import content
-from spinhom.partitions import PartitionError, scaled_add, strict_partitions_of
+from spinhom.partitions import PartitionError, move_nodes, scaled_add, strict_partitions_of
 from spinhom.tableaux import (
     ShiftedTableau,
     count_sst,
@@ -23,7 +26,7 @@ def test_small_counts():
 
 
 def test_count_sst_rejects_non_strict_shapes():
-    # memoised, so check twice: a failure must not be stored as a count
+    # check twice: a failure must not leave a count behind
     for _ in range(2):
         for lam in ((3, 3), (1, 1), (4, 2, 2)):
             with pytest.raises(PartitionError, match=r"is not strict$"):
@@ -186,3 +189,22 @@ def test_tableau_rows_read_the_content_once_per_shape(monkeypatch):
     rows = list(verify._tableau_rows((5, 3, 1), 3))
     assert rows and all(row[-1] == "ok" for row in rows)
     assert calls == [(5, 3, 1)]
+
+
+@lru_cache(maxsize=None)
+def _count_by_recursion(lam):
+    """The former recursive ``count_sst``: the reference for the level-by-level count."""
+    if sum(lam) == 0:
+        return 1
+    return sum(_count_by_recursion(move_nodes(lam, ((r, lam[r - 1]),), -1)) for r in tableaux._strict_corners(lam))
+
+
+def test_count_sst_matches_the_recursion():
+    for n in range(17):
+        for lam in strict_partitions_of(n):
+            assert count_sst(lam) == _count_by_recursion(lam), lam
+
+
+def test_count_sst_of_a_large_shape_needs_no_stack():
+    assert count_sst((1200,)) == 1
+    assert count_sst((40, 30)) == spin_dim((40, 30)).g
