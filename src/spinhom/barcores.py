@@ -169,11 +169,15 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     ladder profile, so on such members it returns one value (or raises
     on all of them alike); this check therefore fails on exactly the
     fibres where regularising every member would fail.
+
+    A mu of fewer than p nodes is its own fibre, returned without search:
+    every part is below p, so cell (r, c) lies on ladder (p-1)(r-1) + c - 1,
+    each row has its own window of ladders, and the profile fixes every row.
     """
     require_shape(mu, RESTRICTED, p)
+    if sum(mu) < p:
+        return [mu]
     target = ladder_profile(mu, p)
-    if not target:
-        return [()]
     max_l = max(target)
     remaining = [0] * (max_l + 1)
     for l, k in target.items():

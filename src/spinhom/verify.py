@@ -688,6 +688,7 @@ def run_suites(
     for name in names:
         if name not in suites_at(p):
             raise ValueError(f"suite {name} is defined at p=3 only, got p={p}")
+    _require_threads(threads)  # before any suite builds its tasks
     plans = {}
     for name in names:
         fn, max_n_p3, max_n_other = SUITES[name]

@@ -30,6 +30,7 @@ from spinhom.partitions import (
     join,
     p_strict_partitions_of,
     partitions_of,
+    restricted_partitions_of,
     scaled_add,
     strict_partitions_of,
 )
@@ -298,6 +299,20 @@ def test_reg_preimages_match_brute_force(p, max_n):
             fibres.setdefault(regularize(lam, p), set()).add(lam)
         for mu, fibre in fibres.items():
             assert set(reg_preimages(mu, p)) == fibre, (p, mu)
+
+
+def test_reg_preimages_of_fewer_than_p_nodes_is_the_singleton_fibre():
+    # every part is below p, so each row fills its own window of p - 1
+    # ladders: the brute-force fibre is [mu], which the shortcut returns
+    count = 0
+    for p in (3, 5, 7, 11, 13, 17):
+        for n in range(p):
+            for mu in restricted_partitions_of(n, p):
+                target = ladder_profile(mu, p)
+                fibre = [lam for lam in strict_partitions_of(n) if ladder_profile(lam, p) == target]
+                assert reg_preimages(mu, p) == fibre == [mu], (p, mu)
+                count += 1
+    assert count == 306
 
 
 # the corruptions of the guard and confluence tests, for a -O interpreter

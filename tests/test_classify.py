@@ -21,7 +21,7 @@ from spinhom.classify import (
     homogeneity_obstruction,
     special_decompose,
 )
-from spinhom.ladders import ladder_positions, regularize
+from spinhom.ladders import regularize
 from spinhom.partitions import (
     PartitionError,
     conjugate,
@@ -182,7 +182,7 @@ def test_module_list_membership():
 
 
 def test_obstruction_same_with_cold_and_warm_memos():
-    memos = (boundary_nodes, signature, regularize, ladder_positions, dimensions._ranked_fibre)
+    memos = (boundary_nodes, signature, regularize, dimensions._ranked_fibre)
     lams = [lam for n in range(23) for lam in strict_partitions_of(n)]
     cold = []
     for lam in lams:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spinhom
-from spinhom import verify
+from spinhom import verify, wreath
 from spinhom.cli import main
 
 
@@ -240,6 +240,26 @@ def test_cartan_degree_below_one(capsys, d):
         assert captured.err == f"error: --d must be at least 1, got {d}\n"
 
 
+@pytest.mark.parametrize("d", ["33", "1000"])
+def test_cartan_degree_above_the_bound_is_refused_before_any_enumeration(capsys, monkeypatch, d):
+    def enumerate_(*args):
+        raise AssertionError("an enumeration started")
+
+    for name in ("wreath_cartan0", "wreath_cartan_p", "load_decomp_matrix", "partitions_of"):
+        monkeypatch.setattr(wreath, name, enumerate_)
+    for extra in ([], ["--nu", "1"], ["--char3"]):
+        assert main(["cartan", "--d", d] + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --d must be at most 32, got {d}\n"
+
+
+def test_cartan_help_states_the_degree_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["cartan", "--help"])
+    assert "the degree d, 1 to 32" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -404,6 +424,19 @@ def test_verify_threads_out_of_range(capsys, monkeypatch, threads):
     assert str(exc.value) == message
     code, out = run(capsys, "verify", "--suite", "tableaux", "--max-n", "3", "--threads", "1")
     assert code == 0 and out
+
+
+def test_verify_threads_refused_before_any_suite_builds_its_tasks(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a suite built its tasks")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (build, *rest) for name, (_, *rest) in verify.SUITES.items()})
+    cpus = os.cpu_count() or 1
+    assert main(["verify", "--suite", "all", "--threads", str(cpus + 1)]) == 1
+    assert capsys.readouterr().err == f"error: threads must be between 1 and {cpus}, got {cpus + 1}\n"
+    # the suite-name and p checks still come first
+    assert main(["verify", "--suite", "degrees", "--p", "5", "--threads", "0"]) == 1
+    assert capsys.readouterr().err == "error: suite degrees is defined at p=3 only, got p=5\n"
 
 
 def test_verify_threads_above_one_need_fork(capsys, monkeypatch):

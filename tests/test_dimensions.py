@@ -149,3 +149,20 @@ def test_degree_witness_refuses_a_partition_missing_from_its_fibre(monkeypatch):
             degree_witness((9, 6, 3), 3)
     finally:
         _ranked_fibre.cache_clear()
+
+
+def test_a_large_p_witness_costs_no_more_memory_than_the_partition():
+    import tracemalloc
+
+    p = 1000003
+    _ranked_fibre.cache_clear()
+    regularize.cache_clear()
+    tracemalloc.start()
+    try:
+        got = degree_witness((5, 4), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the fibre of a partition of fewer than p nodes is found without search
+    assert peak < 1 << 20
+    assert got is None

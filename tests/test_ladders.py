@@ -57,9 +57,7 @@ def test_ladder_positions_ascending():
             cols = [c for _, c in pos]
             assert cols == sorted(cols)
             assert all(ladder_index(r, c, p) == l for r, c in pos)
-            # memoised: one shared tuple, equal to a fresh computation
-            assert isinstance(pos, tuple) and ladder_positions(l, p) is pos
-            assert pos == ladder_positions.__wrapped__(l, p)
+            assert isinstance(pos, tuple)
 
 
 def _ladder_positions_guarded(l, p):
