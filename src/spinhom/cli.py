@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import barcores, branching, classify, dimensions, families, ladders, tableaux, verify, wreath
-from .partitions import PSTRICT, SHAPES, PartitionError, check_odd_prime, format_partition, parse_partition, strict_partitions_of
+from .partitions import PSTRICT, SHAPES, Partition, PartitionError, check_odd_prime, format_partition, parse_partition, strict_partitions_of
 
 
 def _emit(obj) -> None:
@@ -21,30 +21,25 @@ def _emit(obj) -> None:
 
 
 def cmd_reg(args) -> int:
-    lam = parse_partition(args.partition)
-    print(format_partition(ladders.regularize(lam, args.p)))
+    print(format_partition(ladders.regularize(args.partition, args.p)))
     return 0
 
 
 def cmd_core(args) -> int:
-    lam = parse_partition(args.partition)
-    result = barcores.bar_core(lam, args.p)
+    result = barcores.bar_core(args.partition, args.p)
     _emit({"core": list(result.core), "weight": result.weight})
     return 0
 
 
 def cmd_block(args) -> int:
-    core = parse_partition(args.core)
-    members = barcores.block_members(core, args.weight, args.p, args.filter)
+    members = barcores.block_members(args.core, args.weight, args.p, args.filter)
     for lam in members:
         print(format_partition(lam))
     return 0
 
 
 def cmd_branch(args) -> int:
-    lam = parse_partition(args.partition)
-    p, i = args.p, args.i
-    op = args.op
+    lam, p, i, op = args.partition, args.p, args.i, args.op
     if op == "tilde-e":
         _emit({"result": list(branching.tilde_e(lam, i, p))})
     elif op == "tilde-f":
@@ -54,37 +49,34 @@ def cmd_branch(args) -> int:
         _emit({"result": list(res.result), "count": res.count})
     elif op in ("normal-down", "normal-up"):
         _emit({"result": list(branching.normal_extremal(lam, i, p, op.split("-")[1]))})
-    else:  # multiset: argparse admits only these seven ops
-        pairs = branching.branch_multiset(lam, i, p, args.direction)
+    else:  # multiset-down, multiset-up: argparse admits only these eight ops
+        pairs = branching.branch_multiset(lam, i, p, op.split("-")[1])
         _emit({"coeffs": [[list(mu), c] for mu, c in pairs]})
     return 0
 
 
 def cmd_dim(args) -> int:
-    report = dimensions.spin_dim(parse_partition(args.partition))
+    report = dimensions.spin_dim(args.partition)
     _emit({"dim": report.dim, "g": report.g, "two_exp": report.two_exp})
     return 0
 
 
 def cmd_ddeg(args) -> int:
-    lam = parse_partition(args.partition)
-    _emit({"ddeg": dimensions.ddeg(lam, args.p)})
+    _emit({"ddeg": dimensions.ddeg(args.partition, args.p)})
     return 0
 
 
 def cmd_witness(args) -> int:
-    lam = parse_partition(args.partition)
-    w = dimensions.degree_witness(lam, args.p)
+    w = dimensions.degree_witness(args.partition, args.p)
     _emit({"witness": None if w is None else list(w)})
     return 0
 
 
 def cmd_sst(args) -> int:
-    lam = parse_partition(args.partition)
     if args.count_only:
-        _emit({"count": tableaux.count_sst(lam)})
+        _emit({"count": tableaux.count_sst(args.partition)})
         return 0
-    for tab in tableaux.enumerate_sst(lam):
+    for tab in tableaux.enumerate_sst(args.partition):
         obj = {"rows": [list(row) for row in tab.rows]}
         if args.residue_words:
             obj["residues"] = list(tab.residue_word(args.p))
@@ -93,11 +85,10 @@ def cmd_sst(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    alpha, beta, nu = parse_partition(args.alpha), parse_partition(args.beta), parse_partition(args.nu)
     if args.gamma is None:
-        _emit({"coefficient": wreath.lr2(alpha, beta, nu)})
+        _emit({"coefficient": wreath.lr2(args.alpha, args.beta, args.nu)})
     else:
-        _emit({"coefficient": wreath.lr3(alpha, beta, parse_partition(args.gamma), nu)})
+        _emit({"coefficient": wreath.lr3(args.alpha, args.beta, args.gamma, args.nu)})
     return 0
 
 
@@ -111,23 +102,22 @@ def cmd_cartan(args) -> int:
         raise PartitionError(f"--d must be at least 1, got {args.d}")
     if args.d > _MAX_CARTAN_D:
         raise PartitionError(f"--d must be at most {_MAX_CARTAN_D}, got {args.d}")
-    if args.char3:
-        if args.decomp is None or args.mu is None:
-            raise PartitionError("--char3 needs --decomp FILE and --mu")
+    if args.decomp is not None:  # a decomposition matrix selects characteristic 3
+        if args.mu is None:
+            raise PartitionError("--decomp needs --mu")
         if args.nu is not None or args.pi is not None:
-            raise PartitionError("--nu and --pi do not apply with --char3")
+            raise PartitionError("--nu and --pi do not apply with --decomp")
         matrix = wreath.load_decomp_matrix(args.decomp)
         if matrix.p != 3:
-            raise PartitionError(f"--char3 needs a p=3 matrix, got p={matrix.p}")
+            raise PartitionError(f"--decomp needs a p=3 matrix, got p={matrix.p}")
         if matrix.d != args.d:
             raise PartitionError(f"matrix has degree {matrix.d}, expected {args.d}")
-        value = wreath.wreath_cartan_p(parse_partition(args.mu), matrix)
-        _emit({"value": value, "threshold": 2 * args.d + 1})
+        _emit({"value": wreath.wreath_cartan_p(args.mu, matrix), "threshold": 2 * args.d + 1})
         return 0
-    if args.decomp is not None or args.mu is not None:
-        raise PartitionError("--decomp and --mu need --char3")
-    nu = parse_partition(args.nu) if args.nu else (args.d,)
-    pi = parse_partition(args.pi) if args.pi else nu
+    if args.mu is not None:
+        raise PartitionError("--mu needs --decomp")
+    nu = args.nu if args.nu is not None else (args.d,)
+    pi = args.pi if args.pi is not None else nu
     for flag, label in (("--nu", nu), ("--pi", pi)):
         if sum(label) != args.d:
             raise PartitionError(f"{flag} {format_partition(label)} has size {sum(label)}, expected {args.d}")
@@ -136,11 +126,10 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    lam = parse_partition(args.partition)
-    verdict = classify.classify_homogeneous(lam)
+    verdict = classify.classify_homogeneous(args.partition)
     payload = {"status": verdict.status, "reason": verdict.reason}
     if args.context != "homogeneity":
-        iv = classify.classify_irreducible(lam, args.context)
+        iv = classify.classify_irreducible(args.partition, args.context)
         payload.update(context=iv.context, labels=list(iv.labels), irreducible=iv.irreducible, proven=iv.proven)
     if args.format == "json":
         _emit(payload)
@@ -153,7 +142,7 @@ def cmd_classify(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.n < 0:
         raise PartitionError(f"--n must be non-negative, got {args.n}")
-    kept = (classify.PROVEN_HOM, classify.CONJ_HOM) if args.include_conjectural else (classify.PROVEN_HOM,)
+    kept = (classify.PROVEN_HOM, classify.CONJ_HOM) if args.filter == "homogeneous-or-conjectural" else (classify.PROVEN_HOM,)
     for lam in strict_partitions_of(args.n):
         special = classify.special_decompose(lam) is not None
         if args.special == "exclude" and special:
@@ -161,7 +150,7 @@ def cmd_enumerate(args) -> int:
         if args.special == "only" and not special:
             continue
         verdict = classify.classify_homogeneous(lam)
-        if args.filter == "homogeneous" and verdict.status not in kept:
+        if args.filter != "all" and verdict.status not in kept:
             continue
         print(f"{format_partition(lam)}\t{verdict.status}\t{verdict.reason}")
     return 0
@@ -204,6 +193,13 @@ def cmd_verify(args) -> int:
     return 0 if bad == 0 and not empty else 2
 
 
+def _partition(text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except PartitionError as exc:  # argparse prints this message, but "invalid _partition value" for a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a rejected argument is bad input: one line, exit 1
         raise ValueError(message)
@@ -214,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the arguments several subcommands share, declared once
-    shared = {"partition": {}, "--p": {"type": int, "default": 3}}
+    shared = {"partition": {"type": _partition}, "--p": {"type": int, "default": 3}}
 
     def add(name, fn, help, *common):
         sp = sub.add_parser(name, help=help)
@@ -227,16 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("core", cmd_core, "p-bar core and weight", "partition", "--p")
 
     sp = add("block", cmd_block, "list the partitions of a block", "--p")
-    sp.add_argument("--core", required=True)
+    sp.add_argument("--core", type=_partition, required=True)
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--filter", choices=list(SHAPES), default=PSTRICT)
 
     sp = add("branch", cmd_branch, "branching operators", "partition", "--p")
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--op", required=True,
-                    choices=["tilde-e", "tilde-f", "down", "up", "normal-down", "normal-up", "multiset"])
-    sp.add_argument("--direction", choices=["down", "up"], default="down",
-                    help="direction for --op multiset")
+                    choices=["tilde-e", "tilde-f", "down", "up", "normal-down", "normal-up", "multiset-down", "multiset-up"])
 
     add("dim", cmd_dim, "bar-length dimension", "partition")
     add("ddeg", cmd_ddeg, "reduced degree", "partition", "--p")
@@ -247,18 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--residue-words", action="store_true")
 
     sp = add("lr", cmd_lr, "Littlewood-Richardson coefficients")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--gamma")
-    sp.add_argument("--nu", required=True)
+    sp.add_argument("--alpha", type=_partition, required=True)
+    sp.add_argument("--beta", type=_partition, required=True)
+    sp.add_argument("--gamma", type=_partition)
+    sp.add_argument("--nu", type=_partition, required=True)
 
     sp = add("cartan", cmd_cartan, "wreath-product Cartan values")
     sp.add_argument("--d", type=int, required=True, help=f"the degree d, 1 to {_MAX_CARTAN_D}")
-    sp.add_argument("--nu")
-    sp.add_argument("--pi")
-    sp.add_argument("--char3", action="store_true")
-    sp.add_argument("--decomp", help="decomposition matrix file for --char3")
-    sp.add_argument("--mu", help="p-regular column label for --char3")
+    sp.add_argument("--nu", type=_partition)
+    sp.add_argument("--pi", type=_partition)
+    sp.add_argument("--decomp", help="p=3 decomposition matrix file: selects characteristic 3, needs --mu")
+    sp.add_argument("--mu", type=_partition, help="3-regular column label, with --decomp")
 
     sp = add("classify", cmd_classify, "homogeneity / irreducibility verdict", "partition")
     sp.add_argument("--context", choices=["homogeneity", *classify.CONTEXTS], default="homogeneity")
@@ -266,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("enumerate", cmd_enumerate, "classify every strict partition of n")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--filter", choices=["homogeneous", "all"], default="all")
+    sp.add_argument("--filter", choices=["all", "homogeneous", "homogeneous-or-conjectural"], default="all")
     sp.add_argument("--special", choices=["include", "exclude", "only"], default="include")
-    sp.add_argument("--include-conjectural", action="store_true")
 
     sp = add("family", cmd_family, "named degree / chain families by id and l")
     sp.add_argument("--id", required=True)

@@ -51,17 +51,18 @@ def ladder_index(r: int, c: int, p: int) -> int:
 def content(lam: Partition, p: int) -> dict[int, int]:
     """Residue multiset of all nodes, as a residue -> count dict.
 
-    Counted per row: the columns 1..a of a row of length a run q = a // p
-    times through every class b = (c-1) mod p, and once more through the
-    first a % p classes.
+    Folded from the ladder profile: every node of ladder l has residue
+    min(m, p-1-m) with m = l mod (p-1).  For the node (r, c) write
+    c - 1 = qp + b; then l = (p-1)(q + r - 1) + b, so m = b, except that
+    b = p-1 gives m = 0, which is residue 0 either way.
     """
     require_shape(lam, PSTRICT, p)
-    counts: Counter[int] = Counter()
-    for a in lam:
-        q, s = divmod(a, p)
-        for b in range(p):
-            counts[residue(1, b + 1, p)] += q + (b < s)
-    return {i: k for i, k in counts.items() if k}
+    counts: dict[int, int] = {}
+    for l, k in ladder_profile(lam, p).items():
+        m = l % (p - 1)
+        i = min(m, p - 1 - m)
+        counts[i] = counts.get(i, 0) + k
+    return counts
 
 
 def is_p_odd(lam: Partition, p: int) -> bool:

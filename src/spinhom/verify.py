@@ -263,7 +263,7 @@ def suite_ladders(p: int, max_n: int) -> list[Task]:
 # branching
 
 
-def _branching_strict_rows(lam: Partition, p: int, max_n: int) -> Iterator[Row]:
+def _branching_strict_rows(lam: Partition, p: int) -> Iterator[Row]:
     name = format_partition(lam)
     half = (p - 1) // 2
     for i in range(half + 1):
@@ -280,7 +280,7 @@ def _branching_strict_rows(lam: Partition, p: int, max_n: int) -> Iterator[Row]:
         up = branching.extremal(branching.extremal(lam, 0, 3, "up").result, 1, 3, "up").result
         yield _holds(name, "chain_up_avoids_1_mod_3", "", all(a % 3 != 1 for a in up))
         yield _equal(name, "chain_up_length_last", "", (len(up), up[-1] if up else 0), (len(lam) + 1, 2))
-    if p == 3 and sum(lam) <= min(max_n, 25):
+    if p == 3 and sum(lam) <= 25:
         verdict = classify.classify_homogeneous(lam)
         if verdict.status == classify.PROVEN_HOM:
             reg = ladders.regularize(lam, 3)
@@ -312,7 +312,7 @@ def _tau_to_sigma_rows(l: int) -> Iterator[Row]:
 
 
 def suite_branching(p: int, max_n: int) -> list[Task]:
-    tasks = _sweep(_branching_strict_rows, (lam for n in range(max_n + 1) for lam in strict_partitions_of(n)), p, max_n)
+    tasks = _sweep(_branching_strict_rows, (lam for n in range(max_n + 1) for lam in strict_partitions_of(n)), p)
     tasks += _sweep(_branching_restricted_rows, (mu for n in range(min(max_n, 18) + 1) for mu in restricted_partitions_of(n, p)), p)
     if p == 3:
         tasks += _sweep(_sigma_to_tau_rows, range(1, 9)) + _sweep(_tau_to_sigma_rows, range(2, 9))
@@ -569,11 +569,11 @@ def suite_wreath(p: int, max_n: int, seed: int) -> list[Task]:
 # classification
 
 
-def _classification_rows(lam: Partition, max_n: int) -> Iterator[Row]:
+def _classification_rows(lam: Partition) -> Iterator[Row]:
     name = format_partition(lam)
     n = sum(lam)
     verdict = classify.classify_homogeneous(lam)
-    if n <= min(max_n, 28) and verdict.status == classify.PROVEN_HOM:
+    if n <= 28 and verdict.status == classify.PROVEN_HOM:
         cert = classify.homogeneity_obstruction(lam)
         yield _row(name, "soundness_no_certificate", verdict.reason, cert, None, cert is None)
         for i in (0, 1) if lam else ():
@@ -587,7 +587,7 @@ def _classification_rows(lam: Partition, max_n: int) -> Iterator[Row]:
     if special is not None and verdict.proven:
         # the settled special cases coincide with the column-valuation test
         yield _equal(name, "special_verdict_matches_carter", "", verdict.status == classify.PROVEN_HOM, classify.carter3(special.alpha))
-    if n <= min(max_n, 25):
+    if n <= 25:
         for i in (0, 1):
             if branching.phi_hat(lam, i, 3) == 0:
                 down = branching.extremal(lam, i, 3, "down").result
@@ -642,7 +642,7 @@ def _module_list_rows(n: int) -> Iterator[Row]:
 
 
 def suite_classification(p: int, max_n: int) -> list[Task]:
-    tasks = _sweep(_classification_rows, (lam for n in range(max_n + 1) for lam in strict_partitions_of(n)), max_n)
+    tasks = _sweep(_classification_rows, (lam for n in range(max_n + 1) for lam in strict_partitions_of(n)))
     tasks += _sweep(_module_list_rows, range(1, min(max_n, 20) + 1))
     return tasks
 

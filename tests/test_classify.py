@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,10 +29,12 @@ from spinhom.partitions import (
     is_odd_partition,
     l_p,
     partitions_of,
+    run_down,
     scaled_add,
     strict_partitions_of,
 )
 from spinhom.verify import matches_module_list
+from spinhom.wreath import is_p_regular
 
 
 def test_special_decompose():
@@ -135,6 +138,37 @@ def test_conjectural_verdicts():
     assert v.status == (CONJ_HOM if carter3((2, 2, 1)) else CONJ_NOT)
     v41 = classify_homogeneous(scaled_add((13, 10, 7, 4, 1), 3, (4, 1)))
     assert v41.status == (CONJ_HOM if carter3((4, 1)) else CONJ_NOT)
+
+
+def test_peel_and_carter_disagree_on_sixteen_open_hooks():
+    # every special lam = core + 3*alpha with n <= 60, built from its core
+    open_lines = []
+    for i in (1, 2):
+        l = 1
+        while sum(core := run_down(3 * (l - 1) + i, i)) <= 60:
+            for k in range((60 - sum(core)) // 3 + 1):
+                for alpha in partitions_of(k):
+                    if len(alpha) > l:
+                        continue
+                    lam = scaled_add(core, 3, alpha)
+                    assert special_decompose(lam) == (core, alpha), lam
+                    verdict = classify_homogeneous(lam)
+                    if verdict.reason == "Carter_conjecture":
+                        open_lines.append((lam, alpha, verdict.status))
+            l += 1
+    assert Counter(status for _, _, status in open_lines) == {CONJ_HOM: 168, CONJ_NOT: 508}
+    hooks = [line for line in open_lines if len(line[1]) >= 2 and line[1][0] >= 2 and set(line[1][1:]) == {1}]
+    assert len(hooks) == 146
+    # Peel: for odd p the hook Specht module S^(a,1^r) is irreducible iff p does not divide a + r
+    disagree = [line for line in hooks if ((line[1][0] + len(line[1]) - 1) % 3 != 0) != carter3(line[1])]
+    assert len(disagree) == 16
+    assert all(status == CONJ_NOT and not is_p_regular(alpha, 3) for _, alpha, status in disagree)
+    assert Counter(alpha for _, alpha, _ in disagree) == {
+        (2, 1, 1, 1): 4, (4, 1, 1, 1): 3, (5, 1, 1, 1): 3, (7, 1, 1, 1): 2,
+        (8, 1, 1, 1): 2, (3, 1, 1, 1, 1): 1, (4, 1, 1, 1, 1): 1,
+    }
+    smallest = min((lam for lam, _, _ in disagree), key=lambda lam: (sum(lam), lam))
+    assert smallest == (16, 10, 7, 4) and sum(smallest) == 37
 
 
 def test_exceptional_list_is_homogeneous_and_nonspecial():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -63,8 +64,10 @@ def test_branch(capsys):
     assert json.loads(out) == {"result": [10, 7, 4, 3, 1], "count": 5}
     code, out = run(capsys, "branch", "5,4,3,2,1", "--i", "0", "--op", "tilde-e")
     assert json.loads(out) == {"result": [5, 4, 3, 2]}
-    code, out = run(capsys, "branch", "6", "--i", "0", "--op", "multiset", "--direction", "up")
+    code, out = run(capsys, "branch", "6", "--i", "0", "--op", "multiset-up")
     assert json.loads(out) == {"coeffs": [[[7], 2], [[6, 1], 1]]}
+    code, out = run(capsys, "branch", "5,4", "--i", "0", "--op", "multiset-down")
+    assert json.loads(out) == {"coeffs": [[[5, 3], 2]]}
 
 
 def test_dim_ddeg_witness(capsys):
@@ -141,10 +144,10 @@ def test_sst_rejects_non_strict_shape(capsys, argv, lam):
     assert captured.err == f"error: {lam} is not strict\n"
 
 
-@pytest.mark.parametrize("op", ["multiset", "down", "up", "tilde-e", "tilde-f", "normal-down", "normal-up"])
+@pytest.mark.parametrize("op", ["multiset-down", "multiset-up", "down", "up", "tilde-e", "tilde-f", "normal-down", "normal-up"])
 @pytest.mark.parametrize("i", ["9", "-1"])
 def test_branch_residue_out_of_range(capsys, op, i):
-    lam = "5,4" if op in ("multiset", "down", "up") else "4,2,1"  # the tilde ops need a restricted lam
+    lam = "5,4" if op in ("multiset-down", "multiset-up", "down", "up") else "4,2,1"  # the tilde ops need a restricted lam
     assert main(["branch", lam, "--i", i, "--op", op]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -170,7 +173,7 @@ def test_lr_without_gamma_is_the_two_factor_coefficient(capsys):
 def test_cartan_char3(tmp_path, capsys):
     path = tmp_path / "s3.txt"
     path.write_text("p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n")
-    code, out = run(capsys, "cartan", "--d", "3", "--char3", "--decomp", str(path), "--mu", "3")
+    code, out = run(capsys, "cartan", "--d", "3", "--decomp", str(path), "--mu", "3")
     assert code == 0
     assert json.loads(out) == {"value": 42, "threshold": 7}
 
@@ -192,6 +195,16 @@ def test_enumerate(capsys):
     assert {line.split("\t")[0] for line in out.splitlines()} == {"7", "5,2"}
 
 
+def test_enumerate_homogeneous_or_conjectural_adds_the_conjectural_lines(capsys):
+    code, either = run(capsys, "enumerate", "--n", "20", "--filter", "homogeneous-or-conjectural")
+    assert code == 0
+    assert "16,4\tConjecturallyHomogeneous\tCarter_conjecture" in either.splitlines()
+    code, proven = run(capsys, "enumerate", "--n", "20", "--filter", "homogeneous")
+    code, full = run(capsys, "enumerate", "--n", "20")
+    conjectural = [line for line in full.splitlines() if line.split("\t")[1] == "ConjecturallyHomogeneous"]
+    assert sorted(either.splitlines()) == sorted(proven.splitlines() + conjectural)
+
+
 def test_enumerate_special_exclude_and_only_split_the_list(capsys):
     argv = ("enumerate", "--n", "12", "--filter", "homogeneous")
     code, full = run(capsys, *argv)
@@ -207,10 +220,10 @@ def test_domain_errors(capsys, tmp_path):
     assert main(["reg", "2,2"]) == 1  # not 3-strict
     assert main(["classify", "3,3"]) == 1  # not strict
     assert main(["dim", "1,x"]) == 1
-    assert main(["cartan", "--d", "3", "--char3"]) == 1
+    assert main(["cartan", "--d", "3", "--mu", "3"]) == 1
     path = tmp_path / "s3.txt"
     path.write_text("p=3 d=3\n3 : 3=1\n")
-    assert main(["cartan", "--d", "4", "--char3", "--decomp", str(path), "--mu", "3"]) == 1
+    assert main(["cartan", "--d", "4", "--decomp", str(path), "--mu", "3"]) == 1
 
 
 @pytest.mark.parametrize("p", ["0", "1", "2", "4", "9"])
@@ -233,7 +246,7 @@ def test_p_must_be_an_odd_prime(capsys, p):
 
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_cartan_degree_below_one(capsys, d):
-    for extra in ([], ["--nu", "1"], ["--char3"]):
+    for extra in ([], ["--nu", "1"], ["--decomp", "s3.txt", "--mu", "3"]):
         assert main(["cartan", "--d", d] + extra) == 1, extra
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -247,7 +260,7 @@ def test_cartan_degree_above_the_bound_is_refused_before_any_enumeration(capsys,
 
     for name in ("wreath_cartan0", "wreath_cartan_p", "load_decomp_matrix", "partitions_of"):
         monkeypatch.setattr(wreath, name, enumerate_)
-    for extra in ([], ["--nu", "1"], ["--char3"]):
+    for extra in ([], ["--nu", "1"], ["--decomp", "s3.txt", "--mu", "3"]):
         assert main(["cartan", "--d", d] + extra) == 1, extra
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -278,16 +291,17 @@ def test_cartan_labels_must_have_size_d(capsys, extra, message):
 def test_cartan_char3_options_need_char3(capsys, tmp_path):
     path = tmp_path / "s3.txt"
     path.write_text("p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n")
-    for extra in (["--decomp", str(path), "--mu", "3"], ["--decomp", str(path)], ["--mu", "3"]):
+    for extra, message in ((["--mu", "3"], "--mu needs --decomp"), (["--mu", "3", "--nu", "3"], "--mu needs --decomp"),
+                           (["--decomp", str(path)], "--decomp needs --mu"), (["--decomp", str(path), "--nu", "3"], "--decomp needs --mu")):
         assert main(["cartan", "--d", "3"] + extra) == 1, extra
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --decomp and --mu need --char3\n"
+        assert captured.err == f"error: {message}\n"
     for extra in (["--nu", "3"], ["--pi", "2,1"]):
-        assert main(["cartan", "--d", "3", "--char3", "--decomp", str(path), "--mu", "3"] + extra) == 1, extra
+        assert main(["cartan", "--d", "3", "--decomp", str(path), "--mu", "3"] + extra) == 1, extra
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --nu and --pi do not apply with --char3\n"
+        assert captured.err == "error: --nu and --pi do not apply with --decomp\n"
 
 
 S3_P3 = "p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n"
@@ -299,7 +313,7 @@ S3_P3 = "p=3 d=3\n3 : 3=1\n2,1 : 3=1, 2,1=1\n1,1,1 : 2,1=1\n"
         ("missing.txt", None, "cannot read decomposition matrix {path}: No such file or directory"),
         ("", None, "cannot read decomposition matrix {path}: Is a directory"),
         ("p4.txt", S3_P3.replace("p=3", "p=4"), "p must be an odd prime, got 4"),
-        ("p5.txt", "p=5 d=3\n3 : 3=1\n2,1 : 2,1=1\n1,1,1 : 1,1,1=1\n", "--char3 needs a p=3 matrix, got p=5"),
+        ("p5.txt", "p=5 d=3\n3 : 3=1\n2,1 : 2,1=1\n1,1,1 : 1,1,1=1\n", "--decomp needs a p=3 matrix, got p=5"),
         ("neg.txt", S3_P3.replace("3=1, 2,1=1", "3=-2, 2,1=1"), "negative multiplicity -2 in line '2,1 : 3=-2, 2,1=1'"),
     ],
     ids=["missing", "directory", "p4", "p5", "negative"],
@@ -308,7 +322,7 @@ def test_cartan_char3_rejects_bad_matrix_files(capsys, tmp_path, name, text, mes
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
-    assert main(["cartan", "--d", "3", "--char3", "--decomp", str(path), "--mu", "3"]) == 1
+    assert main(["cartan", "--d", "3", "--decomp", str(path), "--mu", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(path=path)}\n"
@@ -459,7 +473,20 @@ def test_verify_threads_above_one_need_fork(capsys, monkeypatch):
     ([], "the following arguments are required: command"),
     (["reg", "3,2", "--bogus"], "unrecognized arguments: --bogus"),
     (["dim"], "the following arguments are required: partition"),
-], ids=["bad-context", "bad-filter", "no-command", "unknown-argument", "missing-partition"])
+    (["cartan", "--d", "3", "--char3"], "unrecognized arguments: --char3"),
+    (["branch", "6", "--i", "0", "--op", "multiset-up", "--direction", "up"], "unrecognized arguments: --direction up"),
+    (["branch", "6", "--i", "0", "--op", "multiset"],
+     "argument --op: invalid choice: 'multiset' (choose from 'tilde-e', 'tilde-f', 'down', 'up', "
+     "'normal-down', 'normal-up', 'multiset-down', 'multiset-up')"),
+    (["enumerate", "--n", "5", "--include-conjectural"], "unrecognized arguments: --include-conjectural"),
+    (["dim", "1,x"], "argument partition: malformed token 'x'"),
+    (["block", "--core", "x", "--weight", "1"], "argument --core: malformed token 'x'"),
+    (["lr", "--alpha", "x", "--beta", "1", "--nu", "2"], "argument --alpha: malformed token 'x'"),
+    (["cartan", "--d", "3", "--nu", "x"], "argument --nu: malformed token 'x'"),
+    (["cartan", "--d", "3", "--mu", "x"], "argument --mu: malformed token 'x'"),
+], ids=["bad-context", "bad-filter", "no-command", "unknown-argument", "missing-partition", "removed-char3",
+        "removed-direction", "removed-multiset", "removed-include-conjectural", "bad-partition", "bad-core",
+        "bad-alpha", "bad-nu", "bad-mu"])
 def test_argparse_rejections_exit_1_with_one_line(capsys, argv, message):
     # exit 2 stays reserved for a failed or empty verification
     assert main(argv) == 1
@@ -484,6 +511,16 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.verify, "run_suite", fake_run_suite)
     assert main(["verify", "--suite", "tableaux"]) == 2
+
+
+def test_verify_all_default_output_pinned(capsys):
+    # all seven suites through the CLI's write path; the output is the same at every thread count
+    threads = min(2, os.cpu_count() or 1)
+    assert main(["verify", "--suite", "all", "--threads", str(threads)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "# failures: 0\n"
+    assert captured.out.count("\n") == 38702
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == "8556b74655a4c5b3a74651eb3bb5265be92a8da1d7ab1dcbc9e5737c942ad8ad"
 
 
 def test_verify_small(capsys):

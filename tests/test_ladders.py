@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -102,13 +103,20 @@ def test_content():
         content((2, 2), 3)
 
 
+def test_content_time_does_not_grow_with_p():
+    # folded from the ladder profile: nine nodes cost nine steps at any p
+    start = time.perf_counter()
+    assert content((5, 4), 1000003) == {0: 2, 1: 2, 2: 2, 3: 2, 4: 1}
+    assert time.perf_counter() - start < 0.05
+
+
 def _nodes(lam):
     for r, a in enumerate(lam, 1):
         for c in range(1, a + 1):
             yield r, c
 
 
-@pytest.mark.parametrize("p,max_n", [(3, 24), (5, 18), (7, 14)])
+@pytest.mark.parametrize("p,max_n", [(3, 24), (5, 18), (7, 14), (11, 12), (13, 12)])
 def test_row_kernels_match_node_by_node_counts(p, max_n):
     # reference counts that visit the nodes one at a time
     for n in range(max_n + 1):
