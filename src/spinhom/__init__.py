@@ -10,6 +10,8 @@ Submodules:
 * ``dimensions``: exact bar-length dimensions, reduced degrees,
   degree witnesses.
 * ``tableaux``: standard shifted tableaux and patterned fillings.
+* ``characters``: characters of the symmetric groups by
+  Murnaghan-Nakayama.
 * ``wreath``: Littlewood-Richardson coefficients and wreath Cartan
   invariants, including ingested decomposition matrices.
 * ``families``: the named degree-comparison and chain families.

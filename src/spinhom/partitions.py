@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from operator import gt, itemgetter
+from operator import gt, itemgetter, le
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -202,7 +202,7 @@ def conjugate(alpha: Partition) -> Partition:
 
 def contains(lam: Partition, mu: Partition) -> bool:
     """Diagram containment: mu_r <= lam_r for every row."""
-    return len(mu) <= len(lam) and all(mu[k] <= lam[k] for k in range(len(mu)))
+    return len(mu) <= len(lam) and all(map(le, mu, lam))
 
 
 def move_nodes(lam: Partition, nodes: Iterable[Node], step: int) -> Partition:

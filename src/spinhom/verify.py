@@ -17,7 +17,8 @@ alone; these checks stop at a fixed cap whatever ``max_n`` asks for:
 * degrees: sums of squares n <= 10, g against tableau counts n <= 12;
 * tableaux: enumeration rows n <= 12, residue words n <= 10;
 * wreath: every row d <= 8; cartan0 symmetry, char-3 rows and the
-  sampled lower bounds d <= 6;
+  sampled lower bounds d <= 6.  A Cartan class sum with a remainder
+  is a FAIL row of its item, not an exception;
 * classification: soundness and closure n <= 28, phi-zero agreement
   n <= 25, the module list n <= 20.
 
@@ -49,6 +50,7 @@ import struct
 import tempfile
 from collections import Counter
 from contextlib import suppress
+from functools import wraps
 from itertools import combinations, groupby
 from math import factorial
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
@@ -519,12 +521,31 @@ def _lr2_rows(n: int) -> Iterator[Row]:
     yield _row(f"|nu|={n}", "lr2_symmetry_conjugation", "", "all", "all", not failed)
 
 
+def _class_sums(check: Callable[[int | Partition], Iterator[Row]]) -> Callable[[int | Partition], Iterator[Row]]:
+    """A Cartan check whose class sums must divide exactly.  A remainder,
+    ``wreath``'s RuntimeError and the mark of a wrong character, becomes
+    a FAIL row after the item's earlier rows, so the run reports it
+    instead of ending on it."""
+
+    @wraps(check)
+    def rows(item: int | Partition) -> Iterator[Row]:
+        try:
+            yield from check(item)
+        except RuntimeError as exc:
+            subject = f"d={item}" if isinstance(item, int) else format_partition(item)
+            yield _row(subject, "cartan_class_sum", check.__name__, exc, "an integer", False)
+
+    return rows
+
+
+@_class_sums
 def _cartan0_symmetry_rows(d: int) -> Iterator[Row]:
     parts = partitions_of(d)
     sym_ok = all(wreath.wreath_cartan0(nu, pi) == wreath.wreath_cartan0(pi, nu) for nu in parts for pi in parts)
     yield _holds(f"d={d}", "cartan0_symmetry", "", sym_ok)
 
 
+@_class_sums
 def _cartan0_diagonal_rows(d: int) -> Iterator[Row]:
     for nu in partitions_of(d):
         v = wreath.wreath_cartan0(nu, nu)
@@ -534,6 +555,7 @@ def _cartan0_diagonal_rows(d: int) -> Iterator[Row]:
             yield _row(format_partition(nu), "cartan0_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1)
 
 
+@_class_sums
 def _cartan3_rows(d: int) -> Iterator[Row]:
     matrix = wreath.bundled_decomp_matrix(d)
     for mu in matrix.columns:
@@ -541,6 +563,7 @@ def _cartan3_rows(d: int) -> Iterator[Row]:
         yield _row(format_partition(mu), "cartan3_diagonal_strict", f"d={d}", v, f"> {2 * d + 1}", v > 2 * d + 1)
 
 
+@_class_sums
 def _cartan0_lower_bound_rows(nu: Partition) -> Iterator[Row]:
     d = sum(nu)
     bound = 0

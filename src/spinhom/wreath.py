@@ -2,77 +2,103 @@
 
 ``lr2`` counts LR skew tableaux of shape nu/alpha and content beta
 (column-strict fillings whose reverse reading word is a lattice word);
-``lr3`` composes two-factor coefficients.  The characteristic-zero
-diagonal Cartan invariant of the rank-d wreath model is
+``lr3`` composes two-factor coefficients by associativity and answers
+single queries unmemoised.  ``lr2`` reads a memo per skew shape nu/alpha
+that maps each content beta to its number of LR fillings.  The memo is
+built row by row, top to bottom: the fillings of the rows above row r
+reach row r only through their content (the lattice condition) and the
+entries of row r - 1 over row r's cells (column strictness), so partial
+fillings that agree on both are merged into one state with a count, and
+each state is extended by every filling of row r.  A row's filling is
+weakly increasing, so it is the number m_v of each entry v, chosen from
+the largest v down: m_v > 0 needs v above the entry over the rightmost
+cell left, and the lattice condition holds through the row when the
+count of v stays at most the count of v - 1 before the row.  Disconnected
+shapes, such as a staircase over a staircase, then cost one state per
+content, not one search per tableau.
 
-    c(nu, pi) = sum over (alpha, beta, gamma), sizes summing to d, of
-                lr3(alpha, beta, gamma; nu) * lr3(alpha, beta', gamma; pi),
+The characteristic-zero Cartan invariant of the rank-d wreath model is
 
-whose diagonal equals 2d+1 exactly for the row and the column shape and
-exceeds it otherwise.  Each label's row of non-zero ``lr3`` values is
-summed once per process from the non-zero ``lr2`` terms alone and
-memoised, and c(nu, pi) is a sparse dot product of two rows.  ``lr2``
-is memoised too, and the partition lists and conjugates come from the
-memoised ``partitions.partitions_of`` and ``partitions.conjugate``;
-``lr3`` itself, a dense sum over every intermediate shape, answers
-single queries and is not memoised.  The characteristic-3 analogue
-conjugates by an ingested decomposition matrix: matrices are read from
-a small text format, never computed.
+    c(nu, pi) = sum over (alpha, beta, gamma) of
+                lr3(alpha, beta, gamma; nu) * lr3(alpha, beta', gamma; pi)
+              = sum over rho |- d of 3^o(rho) chi^nu(rho) chi^pi(rho) / z_rho,
+
+with o(rho) the number of odd parts of rho.  Proof: omega is an
+isometry with omega s_beta = s_beta', so the triple sum is
+<Delta3 s_nu, (1 x omega x 1) Delta3 s_pi>, and Delta3 is adjoint to the
+product, so it is <s_nu, phi(s_pi)> for the ring map
+phi = m o (1 x omega x 1) o Delta3.  p_k is primitive and
+omega p_k = (-1)^(k-1) p_k, so phi(p_k) = (2 + (-1)^(k-1)) p_k: 3 for
+odd k and 1 for even k, hence phi(p_rho) = 3^o(rho) p_rho.  Expanding
+s_nu and s_pi in power sums, <p_rho, p_sigma> = z_rho [rho = sigma], gives
+the class sum.  It is computed as sum 3^o(rho) chi^nu chi^pi d!/z_rho,
+over the class sizes d!/z_rho, divided exactly by d!.  At nu = pi = (d)
+it is [x^d] (1 + x)/(1 - x)^2 = 2d + 1, and at the column by omega; every
+other diagonal value exceeds 2d + 1.  The characteristic-3 analogue
+conjugates by an ingested decomposition matrix, and is the same sum
+over the projective character Phi_mu = sum_nu d(nu, mu) chi^nu.
+Matrices are read from a small text format, never computed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from pathlib import Path
 from typing import NamedTuple
 
-from .partitions import Partition, PartitionError, check_odd_prime, conjugate, contains, format_partition, parse_partition, partitions_of
+from .characters import chi, odd_parts, z
+from .partitions import Partition, PartitionError, check_odd_prime, contains, format_partition, parse_partition, partitions_of
+
+
+@lru_cache(maxsize=None)
+def _skew_lr(alpha: Partition, nu: Partition) -> dict[Partition, int]:
+    """The number of LR fillings of nu/alpha of each content beta; alpha inside nu."""
+    rows = len(nu)
+    inner = alpha + (0,) * (rows - len(alpha))
+    # (content so far, entries of the last row over the next row's cells,
+    # -1 over a cell of alpha) -> the number of partial fillings
+    states = {((0,) * rows, (-1,) * (nu[0] - inner[0]) if rows else ()): 1}
+    for r in range(rows):
+        a, width = inner[r], nu[r] - inner[r]
+        # the next row reads `pad` cells of alpha, then this row's entries [lo:hi]
+        lo, hi = (inner[r + 1], nu[r + 1]) if r + 1 < rows else (0, 0)
+        pad, lo, hi = max(0, min(a, hi) - lo), max(lo - a, 0), max(hi - a, 0)
+        merged: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (counts, above), ways in states.items():
+            # (content, cells of the row still free, entries right of them),
+            # entries chosen from the largest down; an entry v > 0 needs a
+            # v - 1 read before it, so a row above, and v rows above it
+            partial = [(counts, width, ())]
+            for v in range(min(r, sum(map(bool, counts))), 0, -1):
+                grown = []
+                for cnt, free, tail in partial:
+                    grown.append((cnt, free, tail))
+                    if free and v > above[free - 1]:
+                        for m in range(1, min(free, cnt[v - 1] - cnt[v]) + 1):
+                            grown.append(((*cnt[:v], cnt[v] + m, *cnt[v + 1:]), free - m, (v,) * m + tail))
+                partial = grown
+            for cnt, free, tail in partial:
+                if free:  # the rest are 0s, so only cells of alpha above them
+                    if above[free - 1] >= 0:
+                        continue
+                    cnt, tail = (cnt[0] + free, *cnt[1:]), (0,) * free + tail
+                key = (cnt, (-1,) * pad + tail[lo:hi])
+                merged[key] = merged.get(key, 0) + ways
+        states = merged
+    out: dict[Partition, int] = {}
+    for (counts, _), ways in states.items():
+        beta = tuple(c for c in counts if c)
+        out[beta] = out.get(beta, 0) + ways
+    return out
 
 
 @lru_cache(maxsize=None)
 def lr2(alpha: Partition, beta: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^nu_{alpha, beta}."""
-    if sum(alpha) + sum(beta) != sum(nu):
+    if sum(alpha) + sum(beta) != sum(nu) or not contains(nu, alpha):
         return 0
-    if not contains(nu, alpha):
-        return 0
-    if not beta:
-        return 1
-    # cells of nu/alpha in reverse reading order: rows top to bottom,
-    # each row right to left
-    cells = []
-    for r in range(len(nu)):
-        inner = alpha[r] if r < len(alpha) else 0
-        for c in range(nu[r] - 1, inner - 1, -1):
-            cells.append((r, c))
-    k = len(beta)
-
-    def rec(idx: int, counts: tuple[int, ...], fill: dict) -> int:
-        if idx == len(cells):
-            return 1 if list(counts) == list(beta) else 0
-        r, c = cells[idx]
-        total = 0
-        for v in range(k):
-            if counts[v] >= beta[v]:
-                continue
-            # lattice condition on the reverse reading word
-            if v > 0 and counts[v] >= counts[v - 1]:
-                continue
-            # rows weakly increase left to right
-            right = fill.get((r, c + 1))
-            if right is not None and v > right:
-                continue
-            # columns strictly increase downwards
-            up = fill.get((r - 1, c))
-            if up is not None and v <= up:
-                continue
-            fill[(r, c)] = v
-            new_counts = counts[:v] + (counts[v] + 1,) + counts[v + 1:]
-            total += rec(idx + 1, new_counts, fill)
-            del fill[(r, c)]
-        return total
-
-    return rec(0, (0,) * k, {})
+    return _skew_lr(alpha, nu).get(beta, 0)
 
 
 def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> int:
@@ -88,44 +114,31 @@ def lr3(alpha: Partition, beta: Partition, gamma: Partition, nu: Partition) -> i
 
 
 @lru_cache(maxsize=None)
-def _lr3_row(nu: Partition) -> dict[tuple[Partition, Partition, Partition], int]:
-    """The non-zero lr3(alpha, beta, gamma; nu), keyed by (alpha, beta, gamma).
+def _class_weights(d: int) -> tuple[int, ...]:
+    """3^o(rho) d!/z_rho for each class rho of S_d, in ``partitions_of(d)`` order."""
+    order = factorial(d)
+    return tuple(3 ** odd_parts(rho) * (order // z(rho)) for rho in partitions_of(d))
 
-    The associativity sum of ``lr3``, taken over its non-zero terms only:
-    sigma runs over the partitions inside nu, and each non-zero
-    lr2(sigma, gamma; nu) meets each non-zero lr2(alpha, beta; sigma).
-    """
-    d = sum(nu)
-    row: dict[tuple[Partition, Partition, Partition], int] = {}
-    for s in range(d + 1):
-        for sigma in partitions_of(s):
-            if not contains(nu, sigma):
-                continue
-            outer = [(gamma, c) for gamma in partitions_of(d - s) if (c := lr2(sigma, gamma, nu))]
-            for a in range(s + 1):
-                for alpha in partitions_of(a):
-                    for beta in partitions_of(s - a):
-                        inner = lr2(alpha, beta, sigma)
-                        if inner:
-                            for gamma, c in outer:
-                                key = (alpha, beta, gamma)
-                                row[key] = row.get(key, 0) + inner * c
-    return row
+
+def _wreath_form(d: int, left: list[int], right: list[int]) -> int:
+    """sum over rho |- d of 3^o(rho) left(rho) right(rho) / z_rho, for two
+    class functions of S_d listed in ``partitions_of(d)`` order."""
+    order = factorial(d)
+    value, rest = divmod(sum(w * x * y for w, x, y in zip(_class_weights(d), left, right)), order)
+    if rest:
+        raise RuntimeError(f"wreath form at d={d} is not an integer: remainder {rest} of {order}")
+    return value
+
+
+def _character(nu: Partition) -> list[int]:
+    return [chi(nu, rho) for rho in partitions_of(sum(nu))]
 
 
 def wreath_cartan0(nu: Partition, pi: Partition) -> int:
-    """Characteristic-zero composition multiplicity c(nu, pi).
-
-    A dot product of the memoised lr3 rows of nu and pi, over the
-    non-zero entries of nu's row, with the middle factor conjugated.
-    """
+    """Characteristic-zero composition multiplicity c(nu, pi), by the class sum."""
     if sum(pi) != sum(nu):
         raise PartitionError("both labels must have the same size")
-    other = _lr3_row(pi)
-    total = 0
-    for (alpha, beta, gamma), v in _lr3_row(nu).items():
-        total += v * other.get((alpha, conjugate(beta), gamma), 0)
-    return total
+    return _wreath_form(sum(nu), _character(nu), _character(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +228,22 @@ def bundled_decomp_matrix(d: int) -> DecompMatrix:
     return load_decomp_matrix(Path(__file__).with_name("data") / "decomp" / f"s{d}_p3.txt")
 
 
+def projective_character(mu: Partition, matrix: DecompMatrix) -> list[int]:
+    """Phi_mu = sum over rows nu of d(nu, mu) chi^nu, in ``partitions_of(d)``
+    order: the character of the projective indecomposable module of the
+    p-regular column mu, which vanishes on every p-singular class."""
+    if mu not in matrix.columns:
+        raise PartitionError(f"{format_partition(mu)} is not a column of the matrix")
+    rows = [(nu, m) for nu in partitions_of(matrix.d) if (m := matrix.mult(nu, mu))]
+    return [sum(m * chi(nu, rho) for nu, m in rows) for rho in partitions_of(matrix.d)]
+
+
 def wreath_cartan_p(mu: Partition, matrix: DecompMatrix) -> int:
     """Characteristic-p diagonal Cartan value for a p-regular label mu.
 
-    Conjugates the characteristic-zero Cartan matrix by the ingested
-    decomposition matrix: sum over rows nu, pi of
-    d(nu, mu) * c(nu, pi) * d(pi, mu).
+    The Cartan matrix of characteristic zero conjugated by the ingested
+    decomposition matrix, sum over rows nu, pi of d(nu, mu) c(nu, pi)
+    d(pi, mu): the class sum of Phi_mu with itself.
     """
-    if mu not in matrix.columns:
-        raise PartitionError(f"{format_partition(mu)} is not a column of the matrix")
-    rows = [nu for nu in partitions_of(matrix.d) if matrix.mult(nu, mu)]
-    total = 0
-    for nu in rows:
-        for pi in rows:
-            total += matrix.mult(nu, mu) * wreath_cartan0(nu, pi) * matrix.mult(pi, mu)
-    return total
+    phi = projective_character(mu, matrix)
+    return _wreath_form(matrix.d, phi, phi)

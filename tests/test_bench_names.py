@@ -18,3 +18,5 @@ def test_every_traced_name_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"spinhom.{mod}"), name, None))
     ]
     assert wanted and missing == []
+    # metrics() reads the hit ratio of lr2's own memo
+    assert callable(getattr(importlib.import_module("spinhom.wreath").lr2, "cache_info", None))

@@ -118,12 +118,18 @@ def test_sst_count_agrees_with_dim(capsys):
     assert json.loads(out) == {"count": json.loads(dim)["g"]}
 
 
-@pytest.mark.parametrize("argv", [["sst", "990"], ["lr", "--alpha", "1", "--beta", "990", "--nu", "991"]])
+@pytest.mark.parametrize("argv", [["sst", "990"]])
 def test_input_deeper_than_the_stack_exits_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
+
+
+def test_lr_of_a_long_row_needs_no_stack(capsys):
+    # lr2 fills a row by the number of each entry, not one frame per cell
+    code, out = run(capsys, "lr", "--alpha", "1", "--beta", "990", "--nu", "991")
+    assert code == 0 and json.loads(out) == {"coefficient": 1}
 
 
 def test_witness_rejects_non_strict_partition(capsys):

@@ -9,14 +9,19 @@ from itertools import product
 import pytest
 
 from spinhom import verify
-from spinhom.partitions import PartitionError, conjugate, partitions_of
+from spinhom.characters import chi
+from spinhom.partitions import PartitionError, conjugate, contains, partitions_of
 from spinhom.wreath import (
-    _lr3_row,
+    DecompMatrix,
+    _class_weights,
+    _skew_lr,
+    _wreath_form,
     bundled_decomp_matrix,
     is_p_regular,
     lr2,
     lr3,
     parse_decomp_matrix,
+    projective_character,
     wreath_cartan0,
     wreath_cartan_p,
 )
@@ -128,26 +133,39 @@ def test_lr_frozen_values():
             assert lr3((a,) if a else (), (b,) if b else (), (3 - a - b,) if 3 - a - b else (), (3,)) == 1
 
 
+WREATH_MEMOS = (lr2, _skew_lr, chi, _class_weights, partitions_of)
+
+
 def _clear_wreath_memos():
-    lr2.cache_clear()
-    _lr3_row.cache_clear()
-    partitions_of.cache_clear()
+    for memo in WREATH_MEMOS:
+        memo.cache_clear()
 
 
-def test_sparse_lr3_rows_match_the_dense_lr3():
+def test_skew_shape_memo_rows_match_the_polynomials():
+    nvars = 6
     _clear_wreath_memos()
-    for d in range(7):
-        for nu in partitions_of(d):
-            dense = {}
-            for a in range(d + 1):
-                for b in range(d - a + 1):
-                    for alpha in partitions_of(a):
-                        for beta in partitions_of(b):
-                            for gamma in partitions_of(d - a - b):
-                                v = lr3(alpha, beta, gamma, nu)
-                                if v:
-                                    dense[(alpha, beta, gamma)] = v
-            assert _lr3_row(nu) == dense, nu
+    assert all(memo.cache_info().currsize == 0 for memo in WREATH_MEMOS)
+    for total in range(7):
+        expected = {}  # (alpha, nu) -> {beta: c^nu_{alpha, beta}}, non-zero only
+        for a in range(total + 1):
+            for alpha in partitions_of(a):
+                for beta in partitions_of(total - a):
+                    product_ = poly_mul(schur_poly(alpha, nvars), schur_poly(beta, nvars))
+                    for nu, c in schur_expand(product_, nvars).items():
+                        expected.setdefault((alpha, nu), {})[beta] = c
+        for nu in partitions_of(total):
+            for a in range(total + 1):
+                for alpha in partitions_of(a):
+                    if contains(nu, alpha):
+                        assert _skew_lr(alpha, nu) == expected.get((alpha, nu), {}), (alpha, nu)
+
+
+def test_lr2_on_large_skew_shapes():
+    # a staircase over a staircase is 16 disconnected cells, one per row
+    assert lr2(tuple(range(15, 0, -1)), (8, 5, 3), tuple(range(16, 0, -1))) == 112112
+    assert lr2((8, 6, 4, 2), (10, 8, 6, 4, 2, 2), (14, 12, 10, 8, 6, 2)) == 126
+    # one row of 990 cells: a single filling, and no stack frame per cell
+    assert lr2((1,), (990,), (991,)) == 1
 
 
 def test_memoisation_contract():
@@ -312,6 +330,30 @@ def test_cartan_char3():
             assert wreath_cartan_p(mu, matrix) > 2 * d + 1, (d, mu)
     with pytest.raises(PartitionError):
         wreath_cartan_p((1, 1, 1), m3)
+
+
+def _vanishes_3_singular(mu, matrix):
+    phi = projective_character(mu, matrix)
+    return all(v == 0 for rho, v in zip(partitions_of(matrix.d), phi) if any(part % 3 == 0 for part in rho))
+
+
+def test_projective_characters_vanish_on_3_singular_classes():
+    columns = [(matrix, mu) for matrix in map(bundled_decomp_matrix, range(1, 7)) for mu in matrix.columns]
+    assert len(columns) == 21
+    assert all(_vanishes_3_singular(mu, matrix) for matrix, mu in columns)
+    # one entry more in s5_p3, at row (5) and column (4, 1), breaks it
+    m5 = bundled_decomp_matrix(5)
+    entries = dict(m5.entries)
+    entries[(5,), (4, 1)] = m5.mult((5,), (4, 1)) + 1
+    assert not _vanishes_3_singular((4, 1), DecompMatrix(m5.p, m5.d, entries, m5.columns))
+
+
+def test_wreath_form_refuses_a_remainder():
+    # at d = 2 the weights are 1 on (2) and 9 on (1, 1): 1 * 1 * 1 / 2! has a remainder
+    assert _class_weights(2) == (1, 9)
+    assert _wreath_form(2, [1, 1], [1, 1]) == 5
+    with pytest.raises(RuntimeError, match="remainder 1 of 2"):
+        _wreath_form(2, [1, 0], [1, 0])
 
 
 def test_cartan_char3_small_degrees_semisimple():
