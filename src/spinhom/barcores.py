@@ -15,7 +15,11 @@ profiles directly, which stays fast even when the ambient block is
 huge, and checks its output through those profiles, with a single
 ``regularize`` per fibre.  Its search prunes on the budget: below a row
 of length c the strictly shorter rows hold at most c(c-1)/2 nodes, so a
-partial partition with more of the profile left to place is dropped.
+partial partition with more of the profile left to place is dropped,
+and it looks one row ahead: the next row alone can reach the p-1 ladders
+from its first cell, so their nodes left must read 1..1 0..0, and a
+first 0 at offset k fixes that row at k cells and the nodes left at
+k(k+1)/2 or fewer.
 
 ``bar_core`` and ``is_bar_core`` read only the first removal of
 ``_bar_moves``, the generator behind ``bar_removals``.  p-strictness is
@@ -155,13 +159,22 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     fibre consists of the strict partitions with the same profile;
     they are found by a row-by-row search with the profile as budget.
     Ladders below (p-1)*(r-1) are untouchable from row r on, which
-    prunes hard: row r can start only while its first cell (r, 1), the
-    one open position of ladder (p-1)*(r-1), is the one node left there,
-    and that is tested before the search descends to the row.  The
-    search also descends below a row of length c only while the budget
-    left is at most c(c-1)/2: the rows below are strictly shorter, so
-    they hold at most (c-1) + (c-2) + ... + 1 nodes, and a larger
-    budget can never be spent.
+    prunes hard.  The search descends below a row of length c only while
+    the budget left is at most c(c-1)/2: the rows below are strictly
+    shorter, so they hold at most (c-1) + (c-2) + ... + 1 nodes, and a
+    larger budget can never be spent.
+
+    Before it descends from row r to row r+1 it looks one row ahead.
+    With below = (p-1)*r, the ladders below .. below+p-2 are reached from
+    row r+1 on by row r+1 alone (row r+2 starts at ladder below+p-1),
+    one cell each, from its first cell (r+1, 1) onwards.  So the nodes
+    left on them must read 1..1 0..0: k ones, then zeros.  When k < p-1
+    the first 0, at offset k, stops row r+1 after exactly k cells, and
+    the rows below it are strictly shorter, so at most
+    k + (k-1) + ... + 1 = k(k+1)/2 nodes may be left; in every case
+    row r+1 has at least k cells and fewer than c, so k < c.  The window
+    is read within ``remaining``; ladders past the largest one of mu hold
+    no node, so a window cut short ends in zeros.
 
     The fibre is checked once, through profiles: every member must be
     p-strict with exactly mu's profile, and one member must regularise
@@ -208,10 +221,20 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
                 budget <= c * (c - 1) // 2
                 and below <= max_l
                 and remaining[below] == 1
-                # rows below row r can no longer reach ladders under base + p - 1
+                # rows below row r can no longer reach ladders under below
                 and not any(remaining[base:below])
             ):
-                rec(r + 1, c, acc)
+                # the next row alone reaches below .. below + p - 2, one
+                # cell each from its first, so they must read 1..1 0..0: k
+                # ones, none above 1 and none after the k-th; all p - 1
+                # ones need no more test, and a first 0 at k caps the budget
+                window = remaining[below:below + p - 1]
+                k = window.count(1)
+                if k < c and (
+                    k == p - 1
+                    or (budget <= k * (k + 1) // 2 and sum(window) == k and not any(window[k:]))
+                ):
+                    rec(r + 1, c, acc)
         acc.pop()
         for l in consumed:
             remaining[l] += 1

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import factorial, perm, prod
+from operator import add, sub
 from typing import NamedTuple
 
 from .barcores import reg_preimages
@@ -44,8 +45,8 @@ def _tableau_factor(lam: Partition) -> int:
     """n!/prod(lam_r!) * prod(lam_r - lam_s)/prod(lam_r + lam_s), exactly;
     n!/lam_1! is the product lam_1 + 1, ..., n, so no n! is formed."""
     pairs = list(combinations(lam, 2))
-    num = perm(sum(lam), sum(lam[1:])) * prod(a - b for a, b in pairs)
-    den = prod(factorial(a) for a in lam[1:]) * prod(a + b for a, b in pairs)
+    num = perm(sum(lam), sum(lam[1:])) * prod(starmap(sub, pairs))
+    den = prod(map(factorial, lam[1:])) * prod(starmap(add, pairs))
     g, rem = divmod(num, den)
     if rem or g < 1:
         raise RuntimeError(f"bar-length product {num}/{den} is not a positive integer on {lam}")
@@ -65,27 +66,43 @@ class RegnMultiplicities(NamedTuple):
     p_to_s: int
 
 
+def _regn_exponents(lam: Partition, p: int, lp: int) -> tuple[int, int]:
+    """(l_p + x - y)/2 and (l_p + y - x)/2, x the spin parity of lam and y
+    its p-parity, given lp = l_p(lam): the one statement of the rule that
+    ``regn_multiplicity`` and ``ddeg`` read.  Raises unless both are
+    non-negative integers."""
+    x, y = is_odd_partition(lam), is_p_odd(lam, p)
+    up, down = lp + x - y, lp + y - x
+    if up % 2 or up < 0 or down < 0:
+        raise RuntimeError(f"regularisation exponents {up}/2, {down}/2 of {lam} at p={p}")
+    return up // 2, down // 2
+
+
 def regn_multiplicity(lam: Partition, p: int) -> RegnMultiplicities:
     """The two regularisation-column multiplicities, both powers of two.
 
     Their product is 2^l_p(lam); the exponents (l_p +- (x - y))/2 are
-    non-negative integers (checked, not assumed).
+    non-negative integers (checked by ``_regn_exponents``, not assumed).
     """
     require_shape(lam, STRICT)
-    lp, x, y = l_p(lam, p), is_odd_partition(lam), is_p_odd(lam, p)
-    up, down = lp + x - y, lp + y - x
-    if up % 2 or up < 0 or down < 0:
-        raise RuntimeError(f"regularisation exponents {up}/2, {down}/2 of {lam} at p={p}")
-    return RegnMultiplicities(1 << (up // 2), 1 << (down // 2))
+    up, down = _regn_exponents(lam, p, l_p(lam, p))
+    return RegnMultiplicities(1 << up, 1 << down)
 
 
 def ddeg(lam: Partition, p: int) -> int:
-    """Reduced degree: dimension divided by the regularisation multiplicity."""
-    report = spin_dim(lam)
-    exp = (sum(lam) - len(lam) - l_p(lam, p) + 1) // 2
-    value = (1 << exp) * report.g
-    if value * regn_multiplicity(lam, p).s_to_d != report.dim:
-        raise RuntimeError(f"ddeg {value} times the multiplicity is not dim {report.dim} on {lam} at p={p}")
+    """Reduced degree: dimension divided by the regularisation multiplicity.
+
+    One pass over lam: one shape check, one l_p, one tableau factor, and
+    the multiplicity's exponent from the rule ``regn_multiplicity`` reads.
+    """
+    require_shape(lam, STRICT)
+    n, l, lp = sum(lam), len(lam), l_p(lam, p)
+    g = _tableau_factor(lam)
+    up, _ = _regn_exponents(lam, p, lp)
+    value = g << (n - l - lp + 1) // 2
+    dim = g << (n - l + 1) // 2
+    if value << up != dim:
+        raise RuntimeError(f"ddeg {value} times the multiplicity is not dim {dim} on {lam} at p={p}")
     return value
 
 

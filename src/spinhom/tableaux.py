@@ -7,10 +7,11 @@ the nodes of lam to 1..n with
 
 for all admissible nodes.  The count of such tableaux equals the odd
 factor g of the bar-length formula, which the tests exploit as a
-cross-check.  Enumeration fills one grid in place, from n down to 1:
-entry k goes into each row end whose removal leaves a strict shape,
-tried in ascending row order, and a tableau is built only when the grid
-is full, so the stream order is deterministic.
+cross-check.  Enumeration fills one grid in place, from n down to 1,
+depth first from an explicit stack rather than by recursion: entry k
+goes into each row end whose removal leaves a strict shape, tried in
+ascending row order, and a tableau is built only when the grid is full,
+so the stream order is deterministic.
 """
 
 from __future__ import annotations
@@ -70,23 +71,36 @@ def _strict_corners(lam: Sequence[int]) -> list[int]:
 
 
 def enumerate_sst(lam: Partition) -> Iterator[ShiftedTableau]:
-    """Every standard shifted tableau of shape lam, exactly once."""
+    """Every standard shifted tableau of shape lam, exactly once.
+
+    Depth-first from an explicit stack, so a shape of any size costs no
+    interpreter stack: ``stack[i]`` iterates over the rows still to try
+    for entry n - i, and ``rows[i]`` is the row that entry sits in.
+    """
     require_shape(lam, STRICT)
+    n = sum(lam)
+    if n == 0:
+        yield ShiftedTableau(())
+        return
     grid = [[0] * a for a in lam]
     cur = list(lam)  # the part of the shape still unfilled
-
-    def fill(k: int) -> Iterator[ShiftedTableau]:
-        if k == 0:
+    stack = [iter(_strict_corners(cur))]
+    rows: list[int] = []
+    while stack:
+        if len(rows) == len(stack):  # take back this level's entry before its next row
+            cur[rows.pop() - 1] += 1
+        r = next(stack[-1], None)
+        if r is None:
+            stack.pop()
+            continue
+        k = n - len(rows)
+        cur[r - 1] -= 1
+        grid[r - 1][cur[r - 1]] = k
+        rows.append(r)
+        if k == 1:
             yield ShiftedTableau(tuple(map(tuple, grid)))
-            return
-        for r in _strict_corners(cur):
-            a = cur[r - 1]
-            cur[r - 1] = a - 1
-            grid[r - 1][a - 1] = k
-            yield from fill(k - 1)
-            cur[r - 1] = a
-
-    yield from fill(sum(lam))
+        else:
+            stack.append(iter(_strict_corners(cur)))
 
 
 def count_sst(lam: Partition) -> int:

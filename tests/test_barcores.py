@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import p_strict
 import spinhom
-from spinhom import barcores
+from spinhom import barcores, families
 from spinhom.barcores import (
     BarCoreResult,
     bar_additions,
@@ -281,14 +281,31 @@ def _fibre_search_reference(mu, p):
     return sorted(out, reverse=True)
 
 
-@pytest.mark.parametrize("p,max_n", [(3, 30), (5, 22)])
+@pytest.mark.parametrize("p,max_n", [(3, 30), (5, 22), (7, 28)])
 def test_reg_preimages_match_the_unpruned_search(p, max_n):
     # every fibre met by a strict partition of n <= max_n; the brute-force
-    # oracle below stops at n = 15, where no fibre is large
+    # oracle below stops at n = 15, where no fibre is large.  At p = 7 the
+    # one-row lookahead reads a window of 6 ladders
     fibres = {regularize(lam, p) for n in range(max_n + 1) for lam in strict_partitions_of(n)}
-    assert len(fibres) == {3: 500, 5: 285}[p]
+    assert len(fibres) == {3: 500, 5: 285, 7: 952}[p]
     for mu in fibres:
         assert reg_preimages(mu, p) == _fibre_search_reference(mu, p), (p, mu)
+
+
+def test_reg_preimages_match_the_unpruned_search_on_staircase_fibres():
+    # the 8 fibres of the staircase family for l = 3..6, two per l, the
+    # largest fibres the degree witnesses rank
+    fibres = {
+        regularize(families.staircase_adjusted(l, tup), 3)
+        for l in range(3, 7)
+        for tup in families.admissible_row_tuples(l)
+    }
+    sizes = []
+    for mu in fibres:
+        fibre = reg_preimages(mu, 3)
+        assert fibre == _fibre_search_reference(mu, 3), mu
+        sizes.append(len(fibre))
+    assert sorted(sizes) == [13, 13, 35, 35, 96, 96, 267, 267]
 
 
 @pytest.mark.parametrize("p,max_n", [(3, 15), (5, 12)])

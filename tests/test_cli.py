@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spinhom
-from spinhom import verify, wreath
+from spinhom import tableaux, verify, wreath
 from spinhom.cli import main
 
 
@@ -118,8 +118,25 @@ def test_sst_count_agrees_with_dim(capsys):
     assert json.loads(out) == {"count": json.loads(dim)["g"]}
 
 
-@pytest.mark.parametrize("argv", [["sst", "990"]])
-def test_input_deeper_than_the_stack_exits_1_with_one_line(capsys, argv):
+@pytest.mark.parametrize("residue_words", [[], ["--residue-words"]])
+def test_sst_of_a_long_row_needs_no_stack(capsys, residue_words):
+    # enumerate_sst fills from an explicit stack, not one frame per cell
+    code, out = run(capsys, "sst", "990", *residue_words)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["rows"] == [list(range(1, 991))]
+    if residue_words:
+        assert lines[0]["residues"] == [min(c % 3, 2 - c % 3) for c in range(990)]
+
+
+@pytest.mark.parametrize("argv", [["sst", "3"]])
+def test_input_deeper_than_the_stack_exits_1_with_one_line(capsys, monkeypatch, argv):
+    # no shipped command recurses that deep on small input; a command that
+    # does is still answered with one line and exit 1
+    def too_deep(lam):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(tableaux, "enumerate_sst", too_deep)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

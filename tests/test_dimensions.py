@@ -65,6 +65,58 @@ def test_ddeg():
                 assert ddeg(lam, p) * regn_multiplicity(lam, p).s_to_d == spin_dim(lam).dim
 
 
+def test_ddeg_checks_the_shape_and_counts_l_p_once(monkeypatch):
+    counted = {"require_shape": 0, "l_p": 0}
+
+    def spy(name):
+        real = getattr(dimensions, name)
+
+        def wrapped(*args):
+            counted[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name in counted:
+        monkeypatch.setattr(dimensions, name, spy(name))
+    assert ddeg((6, 4, 1), 3) == 3168
+    assert counted == {"require_shape": 1, "l_p": 1}
+    with pytest.raises(PartitionError, match=r"^\(3, 3\) is not strict$"):
+        ddeg((3, 3), 3)
+
+
+def test_ddeg_and_regn_multiplicity_raise_one_exponent_error(monkeypatch):
+    # a flipped p-parity makes (l_p + x - y)/2 a half-integer
+    real = dimensions.is_p_odd
+    monkeypatch.setattr(dimensions, "is_p_odd", lambda lam, p: not real(lam, p))
+    message = r"^regularisation exponents -1/2, 1/2 of \(4, 2\) at p=3$"
+    with pytest.raises(RuntimeError, match=message):
+        ddeg((4, 2), 3)
+    with pytest.raises(RuntimeError, match=message):
+        regn_multiplicity((4, 2), 3)
+
+
+def test_ddeg_refuses_a_multiplicity_that_misses_the_dimension(monkeypatch):
+    # swapping the two parities keeps the exponents whole when l_p is odd,
+    # but flips x - y, so 2^ddeg-exponent * s_to_d is no longer dim
+    x, y = dimensions.is_odd_partition, dimensions.is_p_odd
+    monkeypatch.setattr(dimensions, "is_odd_partition", lambda lam: y(lam, 3))
+    monkeypatch.setattr(dimensions, "is_p_odd", lambda lam, p: x(lam))
+    assert regn_multiplicity((3,), 3) == RegnMultiplicities(2, 1)
+    with pytest.raises(RuntimeError, match=r"^ddeg 2 times the multiplicity is not dim 2 on \(3,\) at p=3$"):
+        ddeg((3,), 3)
+
+
+def test_ddeg_and_spin_dim_refuse_a_bar_length_remainder(monkeypatch):
+    real = dimensions.perm
+    monkeypatch.setattr(dimensions, "perm", lambda n, k: real(n, k) + 1)
+    message = r"^bar-length product 4/3 is not a positive integer on \(2, 1\)$"
+    with pytest.raises(RuntimeError, match=message):
+        ddeg((2, 1), 3)
+    with pytest.raises(RuntimeError, match=message):
+        spin_dim((2, 1))
+
+
 def test_ddeg_ratio():
     assert ddeg_ratio((6, 4, 1), (7, 4), 3) == Fraction(11, 10)
     assert ddeg_ratio((5, 2), (5, 2), 3) == 1
