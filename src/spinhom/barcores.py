@@ -19,7 +19,10 @@ partial partition with more of the profile left to place is dropped,
 and it looks one row ahead: the next row alone can reach the p-1 ladders
 from its first cell, so their nodes left must read 1..1 0..0, and a
 first 0 at offset k fixes that row at k cells and the nodes left at
-k(k+1)/2 or fewer.
+k(k+1)/2 or fewer.  It also drops a partial partition that leaves more
+than 2j+1 nodes on the ladder j(p-1) past the next row's first cell,
+j = 1..3: only the next j+1 rows meet that ladder, in at most two cells
+each and one in the last.
 
 ``bar_core`` and ``is_bar_core`` read only the first removal of
 ``_bar_moves``, the generator behind ``bar_removals``.  p-strictness is
@@ -33,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .ladders import _MEMO_SIZE, ladder_profile, regularize
+from .ladders import _MEMO_SIZE, ladder_index, ladder_profile, regularize
 from .partitions import PSTRICT, RESTRICTED, SHAPES, Partition, PartitionError, has_shape, is_p_strict, require_shape
 
 
@@ -152,6 +155,20 @@ def block_members(core: Partition, weight: int, p: int, shape: str = PSTRICT) ->
     return sorted((lam for lam in frontier if has_shape(lam, shape, p)), reverse=True)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _column_offsets(p: int, max_l: int) -> tuple[int, ...]:
+    """The ladder of cell (1, c) for c = 0, 1, ..., up to the first past
+    max_l: cell (r, c) lies on ladder (p-1)(r-1) + offsets[c].
+
+    Memoised on the last ``_MEMO_SIZE`` (64) arguments: one entry per
+    prime and largest ladder met, 21 for the fibres of n <= 34 at p = 3.
+    """
+    offsets = [0]
+    while offsets[-1] <= max_l:
+        offsets.append(ladder_index(1, len(offsets), p))
+    return tuple(offsets)
+
+
 def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     """All strict partitions whose regularisation is mu, greatest first.
 
@@ -176,6 +193,23 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
     is read within ``remaining``; ladders past the largest one of mu hold
     no node, so a window cut short ends in zeros.
 
+    It also tests the capacity of the ladders below + j(p-1), j = 1, 2, 3.
+    Row r+1+i starts at ladder below + i(p-1), so ladder below + j(p-1)
+    meets only rows r+1 .. r+j+1, at offsets j(p-1), .., p-1, 0 from
+    their first cells.  Offset m(p-1) with m >= 1 is columns mp and
+    mp+1, two cells, and offset 0 is the first cell alone, so those rows
+    hold at most 2j + 1 of its nodes; a partial partition that leaves
+    more is dropped.  A ladder past the largest one of mu reads as 0.
+
+    Each row is walked with one list of column offsets, memoised per
+    prime and largest ladder by ``_column_offsets``: cell (r, c) lies on
+    ladder (p-1)(r-1) + offsets[c], offsets[c] = floor((p-1)c/p).
+    The offsets rise by 0 or 1 a column, so a walk that starts on a
+    ladder of mu reads ladder max_l + 1, a zero kept at the end of
+    ``remaining``, before any ladder past it.  A row is undone by its
+    length: it held columns 1 .. length, whose ladders the same offsets
+    name.
+
     The fibre is checked once, through profiles: every member must be
     p-strict with exactly mu's profile, and one member must regularise
     to mu.  ``regularize`` reads a p-strict input only through its
@@ -192,10 +226,11 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
         return [mu]
     target = ladder_profile(mu, p)
     max_l = max(target)
-    remaining = [0] * (max_l + 1)
+    remaining = [0] * (max_l + 2)  # ladder max_l + 1 reads 0 and stops each walk
     for l, k in target.items():
         remaining[l] = k
     budget = sum(remaining)
+    offsets = _column_offsets(p, max_l)
     out: list[Partition] = []
 
     def rec(r: int, prev: int, acc: list[int]) -> None:
@@ -204,15 +239,13 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
         nonlocal budget
         base = (p - 1) * (r - 1)
         below = base + p - 1  # the ladder of the next row's first cell
-        consumed: list[int] = []
         acc.append(0)
         for c in range(1, prev):
-            l = base + ((p - 1) * c) // p
-            if l > max_l or remaining[l] == 0:
+            l = base + offsets[c]
+            if remaining[l] == 0:
                 break
             remaining[l] -= 1
             budget -= 1
-            consumed.append(l)
             acc[-1] = c
             if budget == 0:
                 # longer extensions would need fresh budget, so stop here
@@ -230,15 +263,20 @@ def reg_preimages(mu: Partition, p: int) -> list[Partition]:
                 # ones need no more test, and a first 0 at k caps the budget
                 window = remaining[below:below + p - 1]
                 k = window.count(1)
-                if k < c and (
-                    k == p - 1
-                    or (budget <= k * (k + 1) // 2 and sum(window) == k and not any(window[k:]))
+                if (
+                    k < c
+                    and (k == p - 1 or (budget <= k * (k + 1) // 2 and sum(window) == k and not any(window[k:])))
+                    # ladder below + j(p-1), j = 1..3, holds at most 2j + 1 more nodes
+                    and ((m := below + p - 1) > max_l or remaining[m] <= 3)
+                    and ((m := m + p - 1) > max_l or remaining[m] <= 5)
+                    and ((m := m + p - 1) > max_l or remaining[m] <= 7)
                 ):
                     rec(r + 1, c, acc)
-        acc.pop()
-        for l in consumed:
-            remaining[l] += 1
-            budget += 1
+        # the row held columns 1 .. acc[-1]; give their nodes back
+        length = acc.pop()
+        for o in offsets[1:length + 1]:
+            remaining[base + o] += 1
+        budget += length
 
     # ladder 0 is the single cell (1, 1), so the entry invariant holds at row 1
     rec(1, sum(mu) + p, [])

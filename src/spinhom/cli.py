@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", cmd_verify, "run a verification suite (TSV rows)", "--p")
     sp.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
     sp.add_argument("--max-n", type=int, default=None)
-    sp.add_argument("--max-l", type=int, default=12, help="family index bound for the degrees suite")
+    sp.add_argument(
+        "--max-l", type=int, default=12,
+        help="index bound of the degrees suite: its families run l <= max_l and its staircase witnesses l <= min(8, max_l)",
+    )
     sp.add_argument("--threads", type=int, default=1, help="worker processes, 1 to the CPU count")
     sp.add_argument("--seed", type=int, default=0)
 

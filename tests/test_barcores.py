@@ -293,11 +293,12 @@ def test_reg_preimages_match_the_unpruned_search(p, max_n):
 
 
 def test_reg_preimages_match_the_unpruned_search_on_staircase_fibres():
-    # the 8 fibres of the staircase family for l = 3..6, two per l, the
-    # largest fibres the degree witnesses rank
+    # the 12 fibres of the staircase family for l = 3..8, two per l, the
+    # largest fibres the degree witnesses rank and where the ladder
+    # capacity test cuts the most
     fibres = {
         regularize(families.staircase_adjusted(l, tup), 3)
-        for l in range(3, 7)
+        for l in range(3, 9)
         for tup in families.admissible_row_tuples(l)
     }
     sizes = []
@@ -305,7 +306,28 @@ def test_reg_preimages_match_the_unpruned_search_on_staircase_fibres():
         fibre = reg_preimages(mu, 3)
         assert fibre == _fibre_search_reference(mu, 3), mu
         sizes.append(len(fibre))
-    assert sorted(sizes) == [13, 13, 35, 35, 96, 96, 267, 267]
+    assert sorted(sizes) == [13, 13, 35, 35, 96, 96, 267, 267, 750, 750, 2123, 2123]
+
+
+@st.composite
+def _strict_between(draw, lo, hi):
+    """A strict partition of some n in lo..hi: distinct parts of at most 30
+    under a first part that takes up the rest of n."""
+    n = draw(st.integers(lo, hi))
+    rest = sorted(draw(st.lists(st.integers(1, 30), unique=True, max_size=10)), reverse=True)
+    while rest and sum(rest) + rest[0] >= n:
+        rest.pop(0)
+    return (n - sum(rest), *rest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7)), _strict_between(35, 60))
+def test_reg_preimages_hold_every_strict_partition_past_the_exhaustive_range(p, lam):
+    # the exhaustive comparisons stop at n = 30, 22 and 28
+    mu = regularize(lam, p)
+    fibre = reg_preimages(mu, p)
+    assert lam in fibre
+    assert fibre == _fibre_search_reference(mu, p)
 
 
 @pytest.mark.parametrize("p,max_n", [(3, 15), (5, 12)])
@@ -353,14 +375,43 @@ print(list(verify._blocks_confluence_rows((10,), 3)))
 """
 
 
+def _run_under_python_o(script):
+    env = {**os.environ, "PYTHONPATH": str(Path(spinhom.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_bar_move_guards_fire_under_python_o():
     # the guards are raises, not asserts, so -O keeps them
-    env = {**os.environ, "PYTHONPATH": str(Path(spinhom.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPTED_UNDER_O], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _run_under_python_o(_CORRUPTED_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["RuntimeError lowering part 4 of (4,) by 3 gives (1,), not 3-strict"] * 2 + [
         "[('9', 'core_confluence', '', '[()]', '[(6,)]', 'FAIL')]",
         "[('10', 'core_confluence', '', '[(1,), (2,)]', '[(1,)]', 'FAIL')]",
+    ]
+
+
+# the corruptions of the two reg_preimages guard tests above, for a -O
+# interpreter: a foreign profile on (7, 3, 1), then an identity regularize
+_FIBRE_CORRUPTED_UNDER_O = """
+from spinhom import barcores
+def show():
+    try:
+        print(barcores.reg_preimages((6, 4, 1), 3))
+    except RuntimeError as exc:
+        print(type(exc).__name__, exc)
+real_profile = barcores.ladder_profile
+barcores.ladder_profile = lambda lam, p: {**real_profile(lam, p), 40: 1} if lam == (7, 3, 1) else real_profile(lam, p)
+show()
+barcores.ladder_profile = real_profile
+barcores.regularize = lambda lam, p: lam
+show()
+"""
+
+
+def test_reg_preimages_guards_fire_under_python_o():
+    proc = _run_under_python_o(_FIBRE_CORRUPTED_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "RuntimeError fibre search for (6, 4, 1) at p=3 returned (7, 3, 1), whose ladder profile is not (6, 4, 1)'s",
+        "RuntimeError fibre search for (6, 4, 1) at p=3 returned (7, 4), which regularises elsewhere",
     ]
