@@ -26,6 +26,18 @@ nodes are the cells up to the farthest one.  The sweep tests a cell's
 residue inline, (c - 1) mod p in {i, p - 1 - i} as in ``ladders.residue``,
 and keeps no per-prime state, so a large p costs no more memory than lam.
 
+Each pass yields its nodes by ascending column without a sort: a lower
+row's boundary cells lie left of the upper row's.  i-columns come
+singly, except for i = 0, whose columns c = 0, 1 (mod p) come in pairs,
+and no three are adjacent; so a lower row that reached a boundary column
+of the row above would end level with it at a length of +-1 (mod p),
+which neither mode allows, or the upper row's cells would need three
+adjacent i-columns.  Growing, the pass meets the rows top-down, so it
+lists each row's cells by descending column and reverses the list once;
+shrinking, it meets them bottom-up, already in order.
+``boundary_nodes`` checks this rather than assume it: each list must
+increase strictly in column, and the two lists must share no column.
+
 On restricted p-strict partitions the i-signature (boundary nodes read
 by increasing column, "+" for addable, "-" for removable) reduces by
 cancelling adjacent "+-" pairs to -^eps +^phi; the surviving nodes are
@@ -47,7 +59,6 @@ checked ``partitions.move_nodes``.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .ladders import _MEMO_SIZE, ladder_index, regularize, residue
@@ -76,52 +87,77 @@ def _require_direction(direction: str) -> None:
         raise PartitionError(f"direction must be 'down' or 'up', got {direction!r}")
 
 
-def _reach(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[int]:
-    """Per row, the farthest signed change occurring in a valid joint i-move.
+def _boundary_pass(lam: Partition, i: int, p: int, mode: str, direction: int) -> list[Node]:
+    """The boundary i-nodes of lam in one direction, by ascending column.
 
     direction +1 grows rows (one phantom row below), -1 shrinks them.
     Row r may change by 0, 1 or 2 cells, all of them i-nodes, and the
-    changed shape must be a partition of the mode's class.  Entry r-1 is
-    the largest e_r (smallest, when shrinking) realised by at least one
-    valid joint move; every amount between 0 and it is realised too.
-    One pass decides every row (see the module docstring): down the rows
-    when growing, carrying the farthest length the row above can reach,
-    and up them when shrinking, carrying the shortest length of the row
-    below.
+    changed shape must be a partition of the mode's class; the row's
+    nodes are the cells up to the farthest change realised by at least
+    one valid joint move.  One pass decides every row (see the module
+    docstring): down the rows when growing, carrying the farthest length
+    the row above can reach, and up them when shrinking, carrying the
+    shortest length of the row below.  An upper row of length a and a
+    lower one of length b fit when a > b, or a == b where the mode allows
+    equal rows (a % p == 0 when p-strict, a == 0 when strict).
     """
     pstrict = mode == PSTRICT
-    rows = list(lam) + [0] if direction > 0 else list(lam)
-    reach = [0] * len(rows)
-    order = range(len(rows)) if direction > 0 else range(len(rows) - 1, -1, -1)
-    carried = None  # farthest reachable length of the row decided last
-    for k in order:
-        base = rows[k]
-        for j in (1, 2):
-            c = base + j if direction > 0 else base - j + 1
-            if c < 1 or (col := (c - 1) % p) != i and col != p - 1 - i:
-                break
-            if carried is not None:
-                # upper row a, lower row b: a == b only as the mode allows
-                a, b = (carried, base + j) if direction > 0 else (base - j, carried)
-                if a < b or a == b and (a % p if pstrict else a):
-                    break
-            reach[k] = direction * j
-        carried = base + reach[k]
-    return reach
-
-
-_COLUMN = itemgetter(1)  # a node's column: the sort key and the guard's key
+    twin = p - 1 - i
+    nodes: list[Node] = []
+    if direction > 0:
+        carried = lam[0] + 3 if lam else 3  # nothing above row 1 bounds it
+        r = 0
+        for a in lam + (0,):
+            r += 1
+            c = a + 1  # the new cell c ends the row at length c, under the row above's carried
+            if (
+                ((col := a % p) == i or col == twin)
+                and (carried > c or carried == c and not (c % p if pstrict else c))
+            ):
+                d = c + 1
+                if (
+                    ((col := c % p) == i or col == twin)
+                    and (carried > d or carried == d and not (d % p if pstrict else d))
+                ):
+                    nodes.append((r, d))
+                    c = d
+                nodes.append((r, a + 1))
+                carried = c
+            else:
+                carried = a
+        nodes.reverse()  # listed top-down, each row by descending column
+    else:
+        carried = 0  # the row below the last one is empty
+        r = len(lam) + 1
+        for a in reversed(lam):
+            r -= 1
+            up = a - 1  # removing cell a leaves length up, over the row below's carried
+            if (
+                ((col := up % p) == i or col == twin)
+                and (up > carried or up == carried and not (up % p if pstrict else up))
+            ):
+                down = up - 1
+                if (
+                    down >= 0
+                    and ((col := down % p) == i or col == twin)
+                    and (down > carried or down == carried and not (down % p if pstrict else down))
+                ):
+                    nodes.append((r, up))
+                    up = down
+                nodes.append((r, a))
+                carried = up
+            else:
+                carried = a
+    return nodes
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     """Addable and removable i-nodes of lam in the given sense.
 
-    The nodes of row r are the cells between lam_r and lam_r + e_r, for
-    e_r the row's entry of ``_reach`` in each direction; ``_reach`` tests
-    each cell's residue inline, as (c - 1) mod p in {i, p - 1 - i}.
-    Both tuples come back ordered by increasing column; across the two
-    all columns are distinct (checked), which is what makes the
+    Each direction's nodes come from one ``_boundary_pass``.  Both tuples
+    come back ordered by strictly increasing column, and across the two
+    all columns are distinct (both checked), which is what makes the
     signature reading order well defined.  Memoised on the last
     ``_MEMO_SIZE`` (64) arguments; every check runs on each miss, and an
     input that raises is never stored.
@@ -130,21 +166,15 @@ def boundary_nodes(lam: Partition, i: int, p: int, mode: str) -> tuple[tuple[Nod
         raise PartitionError(f"unknown mode {mode!r}")
     require_shape(lam, mode, p)
     _require_residue(i, p)
-    addables = [
-        (r, a + j)
-        for r, (a, top) in enumerate(zip(lam + (0,), _reach(lam, i, p, mode, +1)), start=1)
-        if top
-        for j in range(1, top + 1)
-    ]
-    removables = [
-        (r, a - j + 1)
-        for r, (a, depth) in enumerate(zip(lam, _reach(lam, i, p, mode, -1)), start=1)
-        if depth
-        for j in range(1, 1 - depth)
-    ]
-    addables.sort(key=_COLUMN)
-    removables.sort(key=_COLUMN)
-    if len({*map(_COLUMN, addables), *map(_COLUMN, removables)}) != len(addables) + len(removables):
+    addables = _boundary_pass(lam, i, p, mode, +1)
+    removables = _boundary_pass(lam, i, p, mode, -1)
+    for nodes in (addables, removables):
+        prev = 0
+        for _, c in nodes:
+            if c <= prev:
+                raise RuntimeError(f"boundary {i}-nodes of {lam} are not in column order (p={p}, mode={mode})")
+            prev = c
+    if addables and removables and not {c for _, c in addables}.isdisjoint([c for _, c in removables]):
         raise RuntimeError(f"boundary {i}-nodes of {lam} share a column (p={p}, mode={mode})")
     return tuple(addables), tuple(removables)
 

@@ -20,12 +20,14 @@ exhaustively over small partitions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
-# Entries kept by the partition-keyed memos: ``regularize``,
+# Entries kept by the partition-keyed memos: ``ladder_profile``, ``regularize``,
 # ``branching.boundary_nodes`` and ``barcores.bar_core``.  The residue checks
 # of one partition reuse a handful of recent entries, and a block sweep over
 # pairs of one n reuses the bar cores of every strict partition of n (at most
@@ -105,15 +107,25 @@ def _row_ladders(a: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(Counter(ladder_index(1, c, p) for c in range(1, a + 1)).items())
 
 
-def ladder_profile(lam: Partition, p: int) -> dict[int, int]:
-    """Ladder -> node count, by ascending ladder, summed row by row."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def ladder_profile(lam: Partition, p: int) -> Mapping[int, int]:
+    """Ladder -> node count, by ascending ladder, summed row by row.
+
+    Memoised on the last ``_MEMO_SIZE`` (64) arguments: the identity
+    checks, both regularisations and the profile check of one partition
+    in the ladders suite read one profile each of lam and of its
+    regularisation.  The memo hands every caller the same object, so it
+    is a read-only view.
+    """
     counts: dict[int, int] = {}
-    for r, a in enumerate(lam):
-        base = (p - 1) * r
+    get = counts.get
+    base = 0  # ladder of the row's first cell
+    for a in lam:
         for offset, k in _row_ladders(a, p):
             l = base + offset
-            counts[l] = counts.get(l, 0) + k
-    return counts
+            counts[l] = get(l, 0) + k
+        base += p - 1
+    return MappingProxyType(counts)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +164,8 @@ def regularize(lam: Partition, p: int) -> Partition:
     """
     require_shape(lam, PSTRICT, p)
     profile = ladder_profile(lam, p)
-    height = max(profile, default=0) // (p - 1) + 1  # ladder l reaches row l // (p-1) + 1
+    # the profile runs by ascending ladder, and ladder l reaches row l // (p-1) + 1
+    height = next(reversed(profile), 0) // (p - 1) + 1
     cells = [0] * height
     widest = [0] * height
     for l, k in profile.items():
@@ -205,12 +218,14 @@ def _boundary_by_ladder(lam: Partition, p: int, mode: str, size: int) -> tuple[l
 
     adds = [0] * size
     rems = [0] * size
+    q = p - 1
+    # (r, c) lies in ladder q*c // p + q*(r - 1), at index ladder + p = q*c // p + q*r + 1
     for i in range(0, (p - 1) // 2 + 1):
         a, r = boundary_nodes(lam, i, p, mode)
         for rr, cc in a:
-            adds[ladder_index(rr, cc, p) + p] += 1
+            adds[q * cc // p + q * rr + 1] += 1
         for rr, cc in r:
-            rems[ladder_index(rr, cc, p) + p] += 1
+            rems[q * cc // p + q * rr + 1] += 1
     return adds, rems
 
 

@@ -241,8 +241,8 @@ def _work(tasks: Sequence[Task], queue_r: int, queue_w: int, spool) -> NoReturn:
 
 def _ladder_rows(lam: Partition, p: int) -> Iterator[Row]:
     name = format_partition(lam)
-    for idr in ladders.check_ladder_identities(lam, p):
-        yield _row(name, idr.identity, idr.l, idr.lhs, idr.rhs, idr.ok)
+    for identity, l, lhs, rhs, ok in ladders.check_ladder_identities(lam, p):
+        yield _row(name, identity, l, lhs, rhs, ok)
     reg = ladders.regularize(lam, p)
     yield _holds(name, "reg_profile", "", ladders.ladder_profile(lam, p) == ladders.ladder_profile(reg, p))
     yield _holds(name, "reg_idempotent", "", ladders.regularize(reg, p) == reg)
@@ -702,7 +702,8 @@ def run_suites(
     """The rows of each named suite, from one ``run_tasks`` call over all
     their tasks; ``max_n`` defaults to each suite's entry in ``SUITES``.
 
-    ``threads`` must lie between 1 and the CPU count.
+    ``threads`` must lie between 1 and the CPU count, and ``max_l`` must
+    be non-negative.
     """
     for name in names:
         if name not in SUITES:
@@ -711,7 +712,10 @@ def run_suites(
     for name in names:
         if name not in suites_at(p):
             raise ValueError(f"suite {name} is defined at p=3 only, got p={p}")
-    _require_threads(threads)  # before any suite builds its tasks
+    # before any suite builds its tasks
+    _require_threads(threads)
+    if max_l < 0:
+        raise ValueError(f"max_l must be non-negative, got {max_l}")
     plans = {}
     for name in names:
         fn, max_n_p3, max_n_other = SUITES[name]

@@ -1,15 +1,20 @@
-"""The contract-range ``verify`` runs, made once per test session, and
-the hypothesis strategy for p-strict partitions.
+"""The contract-range ``verify`` runs, made once per test session, the
+hypothesis strategy for p-strict partitions, and a runner of scripts
+under ``python -O``.
 
 The acceptance criteria and the full-range suite tests all read these
 rows, so no suite runs twice at its contract range.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import spinhom
 from spinhom import verify
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -47,3 +52,9 @@ def p_strict(draw, p, max_n=60):
     while sum(parts) > max_n:
         parts.pop()
     return tuple(reversed(parts))
+
+
+def run_under_python_o(script):
+    """Run script in a fresh ``python -O`` interpreter that imports this spinhom."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinhom.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)

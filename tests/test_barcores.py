@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import p_strict
-import spinhom
+from conftest import p_strict, run_under_python_o
 from spinhom import barcores, families
 from spinhom.barcores import (
     BarCoreResult,
@@ -375,14 +370,9 @@ print(list(verify._blocks_confluence_rows((10,), 3)))
 """
 
 
-def _run_under_python_o(script):
-    env = {**os.environ, "PYTHONPATH": str(Path(spinhom.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
-
-
 def test_bar_move_guards_fire_under_python_o():
     # the guards are raises, not asserts, so -O keeps them
-    proc = _run_under_python_o(_CORRUPTED_UNDER_O)
+    proc = run_under_python_o(_CORRUPTED_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["RuntimeError lowering part 4 of (4,) by 3 gives (1,), not 3-strict"] * 2 + [
         "[('9', 'core_confluence', '', '[()]', '[(6,)]', 'FAIL')]",
@@ -409,7 +399,7 @@ show()
 
 
 def test_reg_preimages_guards_fire_under_python_o():
-    proc = _run_under_python_o(_FIBRE_CORRUPTED_UNDER_O)
+    proc = run_under_python_o(_FIBRE_CORRUPTED_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "RuntimeError fibre search for (6, 4, 1) at p=3 returned (7, 3, 1), whose ladder profile is not (6, 4, 1)'s",

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_under_python_o
 from spinhom.branching import (
     ExtremalResult,
     boundary_nodes,
@@ -257,16 +258,70 @@ def test_output_guards_raise_runtime_error(monkeypatch, op, mu):
 
 
 def test_boundary_column_guard_raises_runtime_error(monkeypatch):
-    # reaches forced to put an addable node at (2, 2) and a removable one at (1, 2) of (2, 1)
+    # passes forced to put an addable node at (2, 2) and a removable one at (1, 2) of (2, 1)
     import spinhom.branching as branching
 
-    monkeypatch.setattr(branching, "_reach", lambda lam, i, p, mode, direction: [0, 1, 0] if direction > 0 else [-1, 0])
+    monkeypatch.setattr(branching, "_boundary_pass", lambda lam, i, p, mode, direction: [(2, 2)] if direction > 0 else [(1, 2)])
     boundary_nodes.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=r"boundary 0-nodes of \(2, 1\) share a column \(p=3, mode=strict\)"):
             boundary_nodes((2, 1), 0, 3, "strict")
     finally:
         boundary_nodes.cache_clear()
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_boundary_order_guard_raises_runtime_error(monkeypatch, direction):
+    # (5, 4, 3, 2, 1) has three addable and two removable 0-nodes at p = 3;
+    # one pass is made to list its nodes by descending column
+    import spinhom.branching as branching
+
+    real = branching._boundary_pass
+
+    def reversed_pass(lam, i, p, mode, d):
+        nodes = real(lam, i, p, mode, d)
+        return nodes[::-1] if d == direction else nodes
+
+    monkeypatch.setattr(branching, "_boundary_pass", reversed_pass)
+    boundary_nodes.cache_clear()
+    try:
+        message = r"boundary 0-nodes of \(5, 4, 3, 2, 1\) are not in column order \(p=3, mode=pstrict\)"
+        with pytest.raises(RuntimeError, match=message):
+            boundary_nodes((5, 4, 3, 2, 1), 0, 3, "pstrict")
+        # two nodes of one list in one column are out of order too
+        monkeypatch.setattr(branching, "_boundary_pass", lambda lam, i, p, mode, d: [(1, 5), (2, 5)] if d == direction else [])
+        with pytest.raises(RuntimeError, match=message):
+            boundary_nodes((5, 4, 3, 2, 1), 0, 3, "pstrict")
+        assert boundary_nodes.cache_info().currsize == 0
+    finally:
+        boundary_nodes.cache_clear()
+
+
+# the corruptions of the two boundary guard tests above, for a -O interpreter
+_BOUNDARY_CORRUPTED_UNDER_O = """
+from spinhom import branching
+def show(lam, mode):
+    branching.boundary_nodes.cache_clear()
+    try:
+        print(branching.boundary_nodes(lam, 0, 3, mode))
+    except RuntimeError as exc:
+        print(type(exc).__name__, exc)
+real = branching._boundary_pass
+branching._boundary_pass = lambda lam, i, p, mode, d: real(lam, i, p, mode, d)[::-1]
+show((5, 4, 3, 2, 1), "pstrict")
+branching._boundary_pass = lambda lam, i, p, mode, d: [(2, 2)] if d > 0 else [(1, 2)]
+show((2, 1), "strict")
+"""
+
+
+def test_boundary_guards_fire_under_python_o():
+    # the guards are raises, not asserts, so -O keeps them
+    proc = run_under_python_o(_BOUNDARY_CORRUPTED_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "RuntimeError boundary 0-nodes of (5, 4, 3, 2, 1) are not in column order (p=3, mode=pstrict)",
+        "RuntimeError boundary 0-nodes of (2, 1) share a column (p=3, mode=strict)",
+    ]
 
 
 def test_signature_example():

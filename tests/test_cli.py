@@ -476,6 +476,19 @@ def test_verify_threads_refused_before_any_suite_builds_its_tasks(capsys, monkey
     assert capsys.readouterr().err == "error: suite degrees is defined at p=3 only, got p=5\n"
 
 
+@pytest.mark.parametrize("suite", ["degrees", "all"])
+def test_verify_negative_max_l_refused_before_any_suite_builds_its_tasks(capsys, monkeypatch, suite):
+    # a negative bound once printed the degrees suite without its family rows and exited 0
+    def build(*args, **kwargs):
+        raise AssertionError("a suite built its tasks")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (build, *rest) for name, (_, *rest) in verify.SUITES.items()})
+    assert main(["verify", "--suite", suite, "--max-l", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_l must be non-negative, got -3\n"
+
+
 def test_verify_threads_above_one_need_fork(capsys, monkeypatch):
     monkeypatch.delattr(os, "fork")
     message = "threads above 1 need os.fork, which this platform lacks"

@@ -93,6 +93,21 @@ def test_regularize_never_stores_a_failure():
     assert regularize.cache_info().hits == 1
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_ladder_profile_memo_is_transparent(p):
+    # cold (cleared memo), warm (the same call again) and unmemoised agree,
+    # and the one shared profile is read-only
+    for n in range(15):
+        for lam in p_strict_partitions_of(n, p):
+            ladder_profile.cache_clear()
+            cold = ladder_profile(lam, p)
+            warm = ladder_profile(lam, p)
+            assert warm is cold and ladder_profile.cache_info().hits == 1
+            assert cold == ladder_profile.__wrapped__(lam, p), lam
+            with pytest.raises(TypeError):
+                cold[0] = 1
+
+
 def test_content():
     assert content((2, 1), 3) == {0: 2, 1: 1}
     assert content((), 3) == {}
