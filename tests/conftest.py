@@ -23,6 +23,7 @@ THREADS = min(4, os.cpu_count() or 1)
 CONTRACT_RUNS = (
     ("ladders", 3, 25),
     ("ladders", 5, 18),
+    ("ladders", 7, 18),
     ("branching", 3, 25),
     ("branching", 5, 16),
     ("blocks", 3, 16),
