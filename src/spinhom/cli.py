@@ -270,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", cmd_verify, "run a verification suite (TSV rows)", "--p")
     sp.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
-    sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument(
+        "--max-n", type=int, default=None,
+        help="largest n of each suite's main sweep, 0 or more; by default each suite's own bound",
+    )
     sp.add_argument(
         "--max-l", type=int, default=12,
         help="index bound of the degrees suite: its families run l <= max_l and its staircase witnesses l <= min(8, max_l)",

@@ -12,9 +12,10 @@ ladder; the result is restricted p-strict with the same ladder profile.
 
 The per-ladder counts (lad, add, badd, rem, brem, str, zz) satisfy a
 family of exact identities that ``check_ladder_identities`` evaluates
-ladder by ladder; it builds each count as a flat per-ladder list in one
-pass per partition, and the verification suites run the identities
-exhaustively over small partitions.
+in one loop over the ladders; it builds each count as a flat per-ladder
+list in one pass per partition and returns each identity as a plain
+``(identity, l, lhs, rhs, ok)`` tuple, and the verification suites run
+the identities exhaustively over small partitions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .partitions import PSTRICT, STRICT, Partition, is_restricted, is_strict, part, require_shape
 
@@ -183,22 +183,25 @@ def regularize(lam: Partition, p: int) -> Partition:
     return out
 
 
-def _row_end_counts(lam: Partition, p: int) -> tuple[Counter, Counter]:
-    """The str and zz counts of lam per ladder, from one pass over its rows.
+def _row_end_counts(lam: Partition, p: int, size: int) -> tuple[list[int], list[int]]:
+    """The str and zz counts of lam per ladder, from one pass over its rows,
+    as lists laid out like ``_padded``.
 
     The last node (r, c) of a row counts in zz when row r+1 has length
     c-1, and in str when moreover r >= 2, p divides c and row r-1 has
     length c+1.
     """
-    strs: Counter[int] = Counter()
-    zzs: Counter[int] = Counter()
+    strs = [0] * size
+    zzs = [0] * size
+    q = p - 1
     for r, c in enumerate(lam, start=1):
         if part(lam, r + 1) != c - 1:
             continue
-        l = ladder_index(r, c, p)
-        zzs[l] += 1
+        # (r, c) lies in ladder q*c // p + q*(r - 1), at index ladder + p
+        j = q * c // p + q * r + 1
+        zzs[j] += 1
         if r >= 2 and c % p == 0 and lam[r - 2] == c + 1:
-            strs[l] += 1
+            strs[j] += 1
     return strs, zzs
 
 
@@ -229,14 +232,6 @@ def _boundary_by_ladder(lam: Partition, p: int, mode: str, size: int) -> tuple[l
     return adds, rems
 
 
-class IdentityRow(NamedTuple):
-    identity: str
-    l: int
-    lhs: int
-    rhs: int
-    ok: bool
-
-
 def max_relevant_ladder(lam: Partition, p: int) -> int:
     """Upper bound on ladder indices carrying any statistic of lam."""
     top = ladder_index(len(lam) + 1, 1, p)
@@ -245,9 +240,12 @@ def max_relevant_ladder(lam: Partition, p: int) -> int:
     return top + p
 
 
-def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
-    """Evaluate every applicable per-ladder identity of lam.
+def check_ladder_identities(lam: Partition, p: int) -> list[tuple[str, int, int, int, bool]]:
+    """Evaluate every applicable per-ladder identity of lam, as rows
 
+        (identity, l, lhs, rhs, ok)
+
+    by ascending ladder l, where ok says whether the identity holds.
     Three families, by the residue class of l mod (p-1):
 
     * residue (p-1)/2 ladders ("arladd1"),
@@ -263,7 +261,9 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     the negative ladders, which hold no nodes, and reach every offset an
     identity reads (at most p - 1 below l).  The lists reach ladder
     ``max_relevant_ladder``, past every node and boundary node of lam.
-    The l == 0 case of the residue-0 identity carries a -1 correction.
+    One loop walks j, and the first two families share their left-hand
+    side brem(l - p + 1) - badd(l).  The l == 0 case of the residue-0
+    identity carries a -1 correction.
     """
     require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
@@ -272,38 +272,42 @@ def check_ladder_identities(lam: Partition, p: int) -> list[IdentityRow]:
     badds, brems = _boundary_by_ladder(lam, p, PSTRICT, size)
     sadds, srems = _boundary_by_ladder(lam, p, STRICT, size) if strict else ([], [])
     lad = _padded(ladder_profile(lam, p), size, p)
-    strs, zzs = (_padded(counts, size, p) for counts in _row_end_counts(lam, p))
-    half = (p - 1) // 2
+    strs, zzs = _row_end_counts(lam, p, size)
+    q = p - 1
+    half = q // 2
     # only zzreglem reads the regularisation's zz counts, and it needs p >= 5
-    reg_zzs = _padded(_row_end_counts(regularize(lam, p), p)[1], size, p) if half >= 2 else []
+    reg_zzs = _row_end_counts(regularize(lam, p), p, size)[1] if half >= 2 else []
 
-    rows: list[IdentityRow] = []
-    for l in range(0, top + 1):
-        j = l + p
-        m = l % (p - 1)
-        if m == half:
-            lhs = brems[j - p + 1] - badds[j]
-            if p == 3:
-                rhs = lad[j] - lad[j - 1] + lad[j - 2]
+    rows = []
+    append = rows.append
+    for j in range(p, size):
+        l = j - p
+        m = l % q
+        if m == 0 or m == half:
+            lhs = brems[j - q] - badds[j]
+            if m == half:
+                if p == 3:
+                    rhs = lad[j] - lad[j - 1] + lad[j - 2]
+                else:
+                    rhs = lad[j] - lad[j - 1] - lad[j - q + 1] + lad[j - q]
+                append(("arladd1", l, lhs, rhs, lhs == rhs))
             else:
-                rhs = lad[j] - lad[j - 1] - lad[j - p + 2] + lad[j - p + 1]
-            rows.append(IdentityRow("arladd1", l, lhs, rhs, lhs == rhs))
-        if m == 0:
-            base = lad[j] - 2 * lad[j - 1] - 2 * lad[j - p + 2] + lad[j - p + 1] - (1 if l == 0 else 0)
-            lhs = brems[j - p + 1] - badds[j]
-            rows.append(IdentityRow("lads", l, lhs, base, lhs == base))
-            if strict:
-                lhs_s = srems[j - p + 1] - sadds[j]
-                rhs_s = base - strs[j] + strs[j - p + 1]
-                rows.append(IdentityRow("lads_strict", l, lhs_s, rhs_s, lhs_s == rhs_s))
-        if half >= 2 and m != 0 and m != half:
-            # k is the index of the largest ladder below l whose sum with l is divisible by p-1
-            k = j - ((2 * l - 1) % (p - 1) + 1)
+                base = lad[j] - 2 * lad[j - 1] - 2 * lad[j - q + 1] + lad[j - q] - (1 if l == 0 else 0)
+                append(("lads", l, lhs, base, lhs == base))
+                if strict:
+                    lhs_s = srems[j - q] - sadds[j]
+                    rhs_s = base - strs[j] + strs[j - q]
+                    append(("lads_strict", l, lhs_s, rhs_s, lhs_s == rhs_s))
+        else:
+            # only at p >= 5: at p = 3 every ladder has residue 0 or (p-1)/2.
+            # k is the index of the largest ladder below l whose sum with l
+            # is divisible by p-1
+            k = j - ((2 * l - 1) % q + 1)
             lhs = brems[k] - badds[j]
             if m == 1:
-                rhs = lad[j] - lad[j - 1] + lad[k] - zzs[k] + zzs[j - p + 1]
+                rhs = lad[j] - lad[j - 1] + lad[k] - zzs[k] + zzs[j - q]
             else:
-                rhs = lad[j] - lad[j - 1] - lad[k + 1] + lad[k] - zzs[k] + zzs[j - p + 1]
-            rows.append(IdentityRow("zzlem", l, lhs, rhs, lhs == rhs))
-            rows.append(IdentityRow("zzreglem", l, reg_zzs[j], zzs[j], reg_zzs[j] <= zzs[j]))
+                rhs = lad[j] - lad[j - 1] - lad[k + 1] + lad[k] - zzs[k] + zzs[j - q]
+            append(("zzlem", l, lhs, rhs, lhs == rhs))
+            append(("zzreglem", l, reg_zzs[j], zzs[j], reg_zzs[j] <= zzs[j]))
     return rows

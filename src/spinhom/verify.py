@@ -241,8 +241,9 @@ def _work(tasks: Sequence[Task], queue_r: int, queue_w: int, spool) -> NoReturn:
 
 def _ladder_rows(lam: Partition, p: int) -> Iterator[Row]:
     name = format_partition(lam)
+    # each identity row as ``_row`` would build it, with one str per integer
     for identity, l, lhs, rhs, ok in ladders.check_ladder_identities(lam, p):
-        yield _row(name, identity, l, lhs, rhs, ok)
+        yield (name, identity, str(l), str(lhs), str(rhs), "ok" if ok else "FAIL")
     reg = ladders.regularize(lam, p)
     yield _holds(name, "reg_profile", "", ladders.ladder_profile(lam, p) == ladders.ladder_profile(reg, p))
     yield _holds(name, "reg_idempotent", "", ladders.regularize(reg, p) == reg)
@@ -702,8 +703,8 @@ def run_suites(
     """The rows of each named suite, from one ``run_tasks`` call over all
     their tasks; ``max_n`` defaults to each suite's entry in ``SUITES``.
 
-    ``threads`` must lie between 1 and the CPU count, and ``max_l`` must
-    be non-negative.
+    ``threads`` must lie between 1 and the CPU count, and ``max_n`` (when
+    given) and ``max_l`` must be non-negative.
     """
     for name in names:
         if name not in SUITES:
@@ -716,6 +717,8 @@ def run_suites(
     _require_threads(threads)
     if max_l < 0:
         raise ValueError(f"max_l must be non-negative, got {max_l}")
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     plans = {}
     for name in names:
         fn, max_n_p3, max_n_other = SUITES[name]

@@ -376,8 +376,11 @@ def test_family_index_below_declared_range(capsys):
     assert code == 0 and json.loads(out)["lam"] == [13, 9, 5, 4]
 
 
-def test_verify_exit_code_on_empty_run(capsys):
-    assert main(["verify", "--suite", "ladders", "--max-n", "-5"]) == 2
+def test_verify_exit_code_on_empty_run(capsys, monkeypatch):
+    # every suite checks something at max_n = 0 and a negative max_n is
+    # refused, so a suite that builds no tasks stands in for an empty run
+    monkeypatch.setitem(verify.SUITES, "ladders", (lambda p, max_n: [], 25, 18))
+    assert main(["verify", "--suite", "ladders"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "# suite ladders: 0 checks\n"
     assert captured.err == "# failures: 0\nerror: suite ladders checked nothing\n"
@@ -487,6 +490,25 @@ def test_verify_negative_max_l_refused_before_any_suite_builds_its_tasks(capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: max_l must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("suite", ["degrees", "all"])
+def test_verify_negative_max_n_refused_before_any_suite_builds_its_tasks(capsys, monkeypatch, suite):
+    # a negative bound once printed the degrees suite's capped checks and exited 0,
+    # and under --suite all printed hundreds of rows before "checked nothing"
+    def build(*args, **kwargs):
+        raise AssertionError("a suite built its tasks")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (build, *rest) for name, (_, *rest) in verify.SUITES.items()})
+    assert main(["verify", "--suite", suite, "--max-n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_n must be non-negative, got -1\n"
+
+
+def test_verify_max_n_zero_stays_valid(capsys):
+    code, out = run(capsys, "verify", "--suite", "ladders", "--max-n", "0")
+    assert code == 0 and "∅\tlads\t0\t-1\t-1\tok" in out
 
 
 def test_verify_threads_above_one_need_fork(capsys, monkeypatch):

@@ -11,14 +11,25 @@ import pytest
 
 from spinhom import barcores, verify
 from spinhom.families import FAMILIES, admissible_row_tuples, staircase_adjusted
-from spinhom.ladders import regularize
-from spinhom.partitions import PartitionError
+from spinhom.ladders import check_ladder_identities, regularize
+from spinhom.partitions import PartitionError, format_partition, p_strict_partitions_of
 
 
 def test_suite_rows_are_tsv_safe():
     for row in verify.run_suite("ladders", p=3, max_n=6):
         assert len(row) == 6
         assert all("\t" not in field and "\n" not in field for field in row)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ladder_suite_identity_rows_are_the_kernel_rows(p):
+    # the suite formats each identity row inline; it must match _row field by field
+    for n in range(13):
+        for lam in p_strict_partitions_of(n, p):
+            want = [verify._row(format_partition(lam), *row) for row in check_ladder_identities(lam, p)]
+            got = list(verify._ladder_rows(lam, p))
+            assert got[: len(want)] == want, lam
+            assert got[len(want)][1] == "reg_profile", lam
 
 
 def test_determinism_across_thread_counts():
