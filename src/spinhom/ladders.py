@@ -267,8 +267,7 @@ def check_ladder_identities(lam: Partition, p: int) -> list[tuple[str, int, int,
     """
     require_shape(lam, PSTRICT, p)
     strict = is_strict(lam)
-    top = max_relevant_ladder(lam, p)
-    size = top + p + 1
+    size = max_relevant_ladder(lam, p) + p + 1
     badds, brems = _boundary_by_ladder(lam, p, PSTRICT, size)
     sadds, srems = _boundary_by_ladder(lam, p, STRICT, size) if strict else ([], [])
     lad = _padded(ladder_profile(lam, p), size, p)
