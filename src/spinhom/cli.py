@@ -169,7 +169,7 @@ def cmd_family(args) -> int:
         "lam": list(fam.lam(args.l)),
         "mu": list(fam.mu(args.l)),
         "ratio_kind": fam.ratio_kind,
-        "ratio": str(fam.ratio(args.l)),
+        "ratio": str(fam.ratio(args.l)) if args.l >= fam.formula_from else None,
     })
     return 0
 

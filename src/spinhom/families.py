@@ -5,8 +5,9 @@
 "deglem12", no number 3) pairs a partition lam(l) with a comparison
 partner mu(l) inside the same regularisation fibre and carries the exact
 closed form of either the direct ratio ddeg(lam)/ddeg(mu) or the
-consecutive-ratio quotient r(l+1)/r(l); the degrees suite recomputes
-both sides exactly.
+consecutive-ratio quotient r(l+1)/r(l), each claimed for every l from
+its start; the degrees suite recomputes both sides exactly at every l up
+to its ``max_l``.
 
 ``sigma``/``tau`` are the two interleaved ladders of shapes ending in
 (6,4,3,1) and (6,5,3,2): adding all strictly-addable 1-nodes maps
@@ -50,11 +51,12 @@ class DegreeFamily(NamedTuple):
 
     ``ratio_kind`` is "direct" when ``ratio`` gives
     ddeg(lam(l))/ddeg(mu(l)) itself, or "consecutive" when it gives the
-    quotient r(l+1)/r(l) of those ratios.  ``formula_range`` lists the l
-    at which the closed form applies; ``greater_range`` the l at which
-    ddeg(lam(l)) > ddeg(mu(l)) is asserted; ``equal_at`` the l with
-    exact equality.  Every family's pair shares its regularisation at
-    every listed l.
+    quotient r(l+1)/r(l) of those ratios.  Each claim holds for every l
+    from its start on: the closed form from ``formula_from``,
+    ddeg(lam(l)) > ddeg(mu(l)) from ``greater_from`` and at the indices
+    in ``extra_greater``; ``equal_at`` lists the l with exact equality,
+    none of them a greater index.  Every family's pair shares its
+    regularisation at every such l.
     """
 
     name: str
@@ -62,15 +64,15 @@ class DegreeFamily(NamedTuple):
     mu: Callable[[int], Partition]
     ratio_kind: str
     ratio: Callable[[int], Fraction]
-    formula_range: tuple[int, int]
-    greater_range: tuple[int, int]
+    formula_from: int
+    greater_from: int
     equal_at: tuple[int, ...] = ()
     extra_greater: tuple[int, ...] = ()
 
     @property
     def first_index(self) -> int:
-        """The smallest l the family declares in any of its ranges."""
-        return min(self.formula_range[0], self.greater_range[0], *self.extra_greater)
+        """The smallest l at which the family claims anything."""
+        return min(self.formula_from, self.greater_from, *self.extra_greater)
 
 
 def _deglem1_mu(l: int) -> Partition:
@@ -93,8 +95,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
         _deglem1_mu,
         "consecutive",
         lambda l: Fraction((l + 1) * (3 * l + 1) * (3 * l + 8), l * (3 * l + 5) * (3 * l + 7)),
-        (3, 12),
-        (4, 12),
+        formula_from=3, greater_from=4,
         equal_at=(3,),
     ),
     DegreeFamily(
@@ -103,8 +104,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
         lambda l: (3 * l - 1, 3 * l - 2) + run_down(3 * l - 6, 3),
         "consecutive",
         lambda l: Fraction(l * l * (6 * l - 5) * (6 * l - 1), (2 * l - 1) ** 2 * (3 * l - 2) * (3 * l + 2)),
-        (3, 12),
-        (3, 12),
+        formula_from=3, greater_from=3,
     ),
     DegreeFamily(
         "deglem4",
@@ -115,8 +115,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l - 2) ** 2 * (2 * l - 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 11) * (6 * l - 7),
             (2 * l - 5) ** 2 * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 4) * (6 * l - 5) * (6 * l - 1),
         ),
-        (7, 12),
-        (7, 12),
+        formula_from=7, greater_from=7,
     ),
     DegreeFamily(
         "deglem5",
@@ -129,8 +128,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l - 2) ** 4 * (l + 2) * (2 * l - 3) ** 2 * (3 * l - 8) * (3 * l - 1)
             * (3 * l + 1) ** 2 * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) ** 2 * (6 * l - 1),
         ),
-        (4, 12),
-        (4, 12),
+        formula_from=4, greater_from=4,
     ),
     DegreeFamily(
         "deglem6",
@@ -143,8 +141,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l - 2) ** 4 * (l + 1) ** 2 * (2 * l - 3) * (3 * l - 8) * (3 * l - 2) ** 3
             * (3 * l + 7) * (6 * l - 17) * (6 * l - 13) * (6 * l - 5) * (6 * l - 1),
         ),
-        (7, 12),
-        (7, 12),
+        formula_from=7, greater_from=7,
         extra_greater=(4,),
     ),
     DegreeFamily(
@@ -158,8 +155,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l - 3) * (l - 2) ** 2 * l ** 3 * (2 * l - 1) * (3 * l - 11) ** 2 * (3 * l - 5)
             * (3 * l + 5) * (6 * l - 13) * (6 * l - 7),
         ),
-        (6, 12),
-        (6, 12),
+        formula_from=6, greater_from=6,
     ),
     DegreeFamily(
         "deglem8",
@@ -173,8 +169,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l - 2) * (l - 1) ** 3 * (l + 2) * (2 * l - 1) ** 2 * (3 * l - 8) ** 2
             * (3 * l + 1) ** 3 * (6 * l - 7),
         ),
-        (8, 12),
-        (2, 12),
+        formula_from=8, greater_from=2,
     ),
     DegreeFamily(
         "deglem9",
@@ -185,8 +180,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l + 1) * (3 * l - 1) * (6 * l + 7) * (9 * l + 8) * (9 * l + 10),
             3 * l * (l + 2) * (6 * l + 1) * (9 * l + 7) ** 2,
         ),
-        (1, 12),
-        (1, 12),
+        formula_from=1, greater_from=1,
     ),
     DegreeFamily(
         "deglem10",
@@ -197,8 +191,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             (l + 1) * (3 * l - 4) * (6 * l - 1) * (9 * l - 1),
             (l - 1) * (3 * l - 1) * (6 * l + 5) * (9 * l - 2),
         ),
-        (6, 12),
-        (6, 12),
+        formula_from=6, greater_from=6,
     ),
     DegreeFamily(
         "deglem11",
@@ -209,8 +202,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
             l * (3 * l + 7) * (3 * l + 10) * (6 * l + 5),
             (l + 2) * (3 * l + 2) * (3 * l + 11) * (6 * l + 1),
         ),
-        (4, 12),
-        (3, 12),
+        formula_from=4, greater_from=3,
     ),
     DegreeFamily(
         "deglem12",
@@ -218,8 +210,7 @@ FAMILIES: dict[str, DegreeFamily] = {fam.name: fam for fam in (
         lambda l: run_down(3 * l + 1, 4),
         "direct",
         _deglem12_ratio,
-        (1, 12),
-        (2, 12),
+        formula_from=1, greater_from=2,
         equal_at=(1,),
     ),
 )}

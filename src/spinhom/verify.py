@@ -23,9 +23,9 @@ alone; these checks stop at a fixed cap whatever ``max_n`` asks for:
   n <= 25, the module list n <= 20.
 
 The sigma/tau chains, block closed forms and patterned tableaux use fixed
-ranges and run at p = 3 only; the degree families (every declared
-range and equality index) and staircase witnesses (l <= 8) follow
-``max_l``.
+ranges and run at p = 3 only; the degree families run each claim from
+its start to l = ``max_l``, and the staircase witnesses to
+l = min(8, ``max_l``).
 
 Every check is a generator that yields the rows of one item: a
 partition, an n, a family name, an l, a fibre ``(l, tups)`` or a label.
@@ -425,18 +425,15 @@ def _g_rows(n: int) -> Iterator[Row]:
 
 def _family_rows(name: str, max_l: int) -> Iterator[Row]:
     fam = families.family(name)
-    lo, hi = fam.formula_range
-    hi = min(hi, max_l)
     if fam.ratio_kind == "direct":
-        for l in range(lo, hi + 1):
+        for l in range(fam.formula_from, max_l + 1):
             yield _equal(name, "ratio_formula", f"l={l}", dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3), fam.ratio(l))
     else:
-        for l in range(lo, hi):
+        for l in range(fam.formula_from, max_l):
             got = dimensions.ddeg_ratio(fam.lam(l + 1), fam.mu(l + 1), 3) / dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
             yield _equal(name, "ratio_step_formula", f"l={l}", got, fam.ratio(l))
-    glo, ghi = fam.greater_range
-    listed = list(range(glo, min(ghi, max_l) + 1)) + [x for x in fam.extra_greater if x <= max_l]
-    for l in [x for x in fam.equal_at if x <= max_l and x not in listed] + listed:
+    # no equal_at index is a greater index (tests/test_families.py checks it), so none repeats
+    for l in [x for x in (*fam.equal_at, *range(fam.greater_from, max_l + 1), *fam.extra_greater) if x <= max_l]:
         r = dimensions.ddeg_ratio(fam.lam(l), fam.mu(l), 3)
         if l in fam.equal_at:
             yield _equal(name, "ratio_equal_at", f"l={l}", r, 1)

@@ -10,6 +10,8 @@ import pytest
 import spinhom
 from spinhom import tableaux, verify, wreath
 from spinhom.cli import main
+from spinhom.dimensions import ddeg_ratio
+from spinhom.families import FAMILIES
 
 
 def run(capsys, *argv):
@@ -374,6 +376,24 @@ def test_family_index_below_declared_range(capsys):
     # the smallest declared index may come from extra_greater alone
     code, out = run(capsys, "family", "--id", "deglem6", "--l", "4")
     assert code == 0 and json.loads(out)["lam"] == [13, 9, 5, 4]
+
+
+def test_family_prints_no_ratio_before_its_closed_form_starts(capsys):
+    unclaimed = []
+    for name, fam in FAMILIES.items():
+        for l in range(fam.first_index, fam.formula_from):
+            code, out = run(capsys, "family", "--id", name, "--l", str(l))
+            assert code == 0 and json.loads(out) == {
+                "lam": list(fam.lam(l)), "mu": list(fam.mu(l)), "ratio_kind": fam.ratio_kind, "ratio": None,
+            }, (name, l)
+            unclaimed.append((name, l))
+        l = fam.formula_from
+        want = ddeg_ratio(fam.lam(l), fam.mu(l), 3)
+        if fam.ratio_kind == "consecutive":
+            want = ddeg_ratio(fam.lam(l + 1), fam.mu(l + 1), 3) / want
+        code, out = run(capsys, "family", "--id", name, "--l", str(l))
+        assert code == 0 and json.loads(out)["ratio"] == str(want), name
+    assert len(unclaimed) == 10 and ("deglem8", 2) in unclaimed
 
 
 def test_verify_exit_code_on_empty_run(capsys, monkeypatch):

@@ -104,6 +104,22 @@ def test_contract_rows_match_their_pinned_hashes(contract_rows):
     assert got == ROW_HASHES
 
 
+def test_degrees_rows_at_max_l_5_pinned():
+    # the benchmark's verify workloads run the degrees suite at --max-l 5
+    rows = verify.run_suite("degrees", p=3, max_n=12, max_l=5)
+    got = hashlib.sha256("".join("\t".join(row) + "\n" for row in rows).encode()).hexdigest()
+    assert len(rows) == 175 and got == "6f3efe7b9a4c4e9c6d63a23354dbd5161658484a19f09925ae023e747011900f"
+
+
+def test_degree_families_run_past_twelve_to_max_l(contract_rows):
+    rows = verify.run_suite("degrees", p=3, max_n=12, max_l=14)
+    at_12 = contract_rows["degrees", 3]
+    assert len(rows) == 623 and not Counter(at_12) - Counter(rows)
+    added = Counter(row[1] for row in rows) - Counter(row[1] for row in at_12)
+    assert added == {"ratio_formula": 6, "ratio_step_formula": 16, "ratio_greater": 22, "same_regularisation": 22}
+    assert not verify.failures(rows)
+
+
 def test_degrees_suite_full_invariants(contract_rows):
     """The full-scale run reaches the staircase witnesses at l = 8 (that
     no row fails is asserted for every contract run above)."""
